@@ -47,7 +47,6 @@ from .inverse import (
     collage_distance,
     convexity_witness,
     solve_inverse,
-    solve_inverse_subgradient,
 )
 from .constructions import (
     QuantileGrid,
@@ -85,7 +84,7 @@ __all__ = [
     "fixed_point", "perturbation_bound", "default_mesh",
     "system_to_json", "system_from_json", "read_system_json", "write_system_json",
     "CollageProblem", "InverseSolution", "collage_distance", "solve_inverse",
-    "solve_inverse_subgradient", "collage_bound", "convexity_witness",
+    "collage_bound", "convexity_witness",
     "QuantileGrid", "edf_ifs", "quantile_ifs", "quantile_estimator",
     "empirical_quantile",
     "BetaParams", "BetaDF", "SeededRng", "beta_cdf", "beta_quantile",

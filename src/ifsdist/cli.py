@@ -175,9 +175,9 @@ def _cmd_invert(args) -> int:
     maps = _partition_maps(args.partition)
     problem = CollageProblem(target, maps, np.zeros(len(maps) - 1))
     solution = solve_inverse(problem)
+    text = json.dumps(solution.to_json(), indent=2, allow_nan=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(solution.to_json(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return 0
 
 

@@ -18,7 +18,7 @@ from math import ceil
 
 import numpy as np
 
-from .distfn import DistributionFunction
+from .distfn import DistributionFunction, _nonfinite_violation
 from .ifs import AffineMap, IfsSystem
 
 __all__ = [
@@ -56,6 +56,9 @@ def _checked_sample(sample, min_n: int) -> np.ndarray:
     arr = np.sort(np.asarray(list(sample), float))
     if arr.size < min_n:
         raise ValueError(f"need at least {min_n} sample points, got {arr.size}")
+    problem = _nonfinite_violation("sample values", arr)
+    if problem:
+        raise ValueError(problem)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("sample values must lie strictly inside (0,1)")
     return arr

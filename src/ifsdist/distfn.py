@@ -201,15 +201,31 @@ class GridDF(DistributionFunction):
         return f"GridDF(points={len(self.grid)}, mode={self.mode!r})"
 
 
+def _nonfinite_violation(name: str, values) -> str | None:
+    """Message naming a NaN or infinite entry of ``values``, or None.
+
+    Comparisons with NaN are all False, so range checks alone let it through;
+    every validator of user numbers runs this gate first.
+    """
+    arr = np.asarray(values, float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        return f"{name} must be finite, found {bad[0]}"
+    return None
+
+
 def edf_from_sample(sample) -> EmpiricalDF:
     """Build the empirical distribution function of a sample.
 
-    The sample must be non-empty, strictly inside (0,1), and free of
+    The sample must be non-empty, finite, strictly inside (0,1), and free of
     duplicates; violations raise ValueError.
     """
     arr = np.sort(np.asarray(list(sample), float))
     if arr.size == 0:
         raise ValueError("sample is empty")
+    problem = _nonfinite_violation("sample values", arr)
+    if problem:
+        raise ValueError(problem)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("sample values must lie strictly inside (0,1)")
     if np.any(np.diff(arr) == 0.0):

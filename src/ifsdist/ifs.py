@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distfn import DistributionFunction, GridDF, UniformDF
+from .distfn import DistributionFunction, GridDF, UniformDF, _nonfinite_violation
 
 __all__ = [
     "AffineMap",
@@ -169,6 +169,11 @@ def _structural_violations(maps, delta) -> list[str]:
         return ["system has no maps"]
     if len(delta) != k - 1:
         out.append(f"expected {k - 1} offsets, got {len(delta)}")
+    for name, values in (("offsets", delta),
+                         ("map parameters", [(m.a, m.b, m.slope, m.intercept) for m in maps])):
+        problem = _nonfinite_violation(name, values)
+        if problem:
+            out.append(problem)
     for i, m in enumerate(maps):
         if not m.slope > 0.0:
             out.append(f"map {i}: slope {m.slope} is not positive")
@@ -210,6 +215,9 @@ def _compute_violations(system: IfsSystem) -> list[str]:
     if len(p) != k:
         out.append(f"expected {k} weights, got {len(p)}")
         return out
+    problem = _nonfinite_violation("weights", p)
+    if problem:
+        out.append(problem)
     if np.any(p < -_TOL):
         out.append(f"negative weight: min p = {p.min()}")
     total = float(np.sum(p) + np.sum(delta))
@@ -520,9 +528,9 @@ def system_from_json(data: dict) -> IfsSystem:
 
 
 def write_system_json(system: IfsSystem, path) -> None:
+    text = json.dumps(system_to_json(system), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_system_json(path) -> IfsSystem:

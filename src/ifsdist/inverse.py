@@ -12,9 +12,12 @@ finite evaluation set:
   all map-image and target breakpoints, a lower bound on the true sup.
 
 Minimizing max_m |A_m p + b_m| over C is the linear program
-min t s.t. -t <= A_m p + b_m <= t, p in C, solved by a self-contained dense
-two-phase simplex routine.  A projected-subgradient solver is provided as an
-independent cross-check for small problems.
+min t s.t. -t <= A_m p + b_m <= t, p in C.  Exact mode solves it with a
+linear-time chain solver: in the cumulative weights P_i = sum_{j<i} p_j the
+two rows of cell i involve only P_i and P_{i+1}, so for a fixed t one
+forward pass of interval propagation decides feasibility, bisection on t
+finds the optimum and a backward pass recovers p*.  Grid mode solves it
+with a self-contained dense two-phase simplex inside an active-set loop.
 """
 
 from __future__ import annotations
@@ -24,21 +27,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distfn import DistributionFunction
-from .ifs import IfsSystem, _structural_violations
+from .ifs import _TOL, _structural_violations
 
 __all__ = [
     "CollageProblem",
     "InverseSolution",
     "collage_distance",
     "solve_inverse",
-    "solve_inverse_subgradient",
     "collage_bound",
     "convexity_witness",
 ]
 
 
-class LpError(RuntimeError):
-    """Internal simplex failure; cannot occur for well-formed collage LPs."""
+class LpError(ValueError):
+    """A collage LP the solver could not finish.
+
+    The grid-mode simplex raises it when its active-set loop does not close
+    or a tableau turns infeasible or unbounded under round-off; the chain
+    solver raises it if its forward pass rejects a t known to be feasible.
+    It is a ValueError, so the CLI reports it and exits 1.
+    """
 
 
 class CollageProblem:
@@ -80,6 +88,9 @@ class CollageProblem:
     def _assemble(self) -> None:
         target, maps = self.target, self.maps
         cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
+        if self.mode == "exact":
+            self._assemble_exact(cum_delta)
+            return
         rows_a, rows_b, spots = [], [], []
 
         def add_row(i: int, f_pulled: float, f_at: float, x: float, left: bool) -> None:
@@ -91,42 +102,57 @@ class CollageProblem:
             rows_b.append(cum_delta[i] - f_at)
             spots.append((x, left))
 
-        if self.mode == "exact":
-            for i, m in enumerate(maps):
-                lo = target.eval(m.a)
-                hi = target.eval_left_limit(m.b)
-                add_row(i, lo, lo, m.a, False)
-                add_row(i, hi, hi, m.b, True)
-        else:
-            starts = np.array([m.c for m in maps])
-            pts = [np.linspace(0.0, 1.0, self.grid_size)]
-            pts.append(starts)
-            pts.append(np.array([m.d for m in maps]))
-            bps = np.asarray(target.breakpoints(), float)
-            if bps.size:
-                pts.append(bps)
-                for m in maps:
-                    inside = bps[(bps >= m.a) & (bps < m.b)]
-                    if inside.size:
-                        pts.append(m.slope * inside + m.intercept)
-            xs = np.unique(np.concatenate(pts))
-            xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-            kmax = self.k - 1
-            for x in xs:
-                i = min(max(int(np.searchsorted(starts, x, side="right")) - 1, 0), kmax)
-                add_row(i, target.eval(maps[i].inverse(x)), target.eval(x), x, False)
-                if x > 0.0:
-                    pos = int(np.searchsorted(starts, x, side="left"))
-                    if 0 < pos <= kmax and starts[pos] == x:
-                        il = pos - 1
-                        pulled_left = target.eval_left_limit(maps[il].b)
-                    else:
-                        il = i
-                        pulled_left = target.eval_left_limit(maps[il].inverse(x))
-                    add_row(il, pulled_left, target.eval_left_limit(x), x, True)
+        starts = np.array([m.c for m in maps])
+        pts = [np.linspace(0.0, 1.0, self.grid_size)]
+        pts.append(starts)
+        pts.append(np.array([m.d for m in maps]))
+        bps = np.asarray(target.breakpoints(), float)
+        if bps.size:
+            pts.append(bps)
+            for m in maps:
+                inside = bps[(bps >= m.a) & (bps < m.b)]
+                if inside.size:
+                    pts.append(m.slope * inside + m.intercept)
+        xs = np.unique(np.concatenate(pts))
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+        kmax = self.k - 1
+        for x in xs:
+            i = min(max(int(np.searchsorted(starts, x, side="right")) - 1, 0), kmax)
+            add_row(i, target.eval(maps[i].inverse(x)), target.eval(x), x, False)
+            if x > 0.0:
+                pos = int(np.searchsorted(starts, x, side="left"))
+                if 0 < pos <= kmax and starts[pos] == x:
+                    il = pos - 1
+                    pulled_left = target.eval_left_limit(maps[il].b)
+                else:
+                    il = i
+                    pulled_left = target.eval_left_limit(maps[il].inverse(x))
+                add_row(il, pulled_left, target.eval_left_limit(x), x, True)
+        self._set_rows(np.asarray(rows_a), np.asarray(rows_b), spots)
 
-        self._A = np.asarray(rows_a)
-        self._b = np.asarray(rows_b)
+    def _assemble_exact(self, cum_delta: np.ndarray) -> None:
+        """Rows at a_i and b_i- of every cell from one evaluation of F at each.
+
+        Row 2i is T_p F - F at a_i, row 2i+1 its left limit at b_i:
+        sum_{j<i} p_j + p_i w + sum_{j<i} delta_j - w with w = F(a_i), F(b_i-).
+        """
+        k = self.k
+        a = np.array([m.a for m in self.maps])
+        b = np.array([m.b for m in self.maps])
+        w = np.empty(2 * k)
+        w[0::2] = self.target.eval_array(a)
+        w[1::2] = self.target.eval_left_array(b)
+        if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
+            raise ValueError("target values at the partition cuts must lie in [0,1]")
+        cell = np.repeat(np.arange(k), 2)
+        rows_a = np.repeat(np.tri(k, k, -1), 2, axis=0)
+        rows_a[np.arange(2 * k), cell] = w
+        spots = [spot for m in self.maps for spot in ((m.a, False), (m.b, True))]
+        self._set_rows(rows_a, cum_delta[cell] - w, spots)
+
+    def _set_rows(self, a_mat: np.ndarray, b_vec: np.ndarray, spots) -> None:
+        self._A = a_mat
+        self._b = b_vec
         self._A.flags.writeable = False
         self._b.flags.writeable = False
         self.eval_spots = tuple(spots)  # (x, is_left_limit) per constraint row
@@ -191,56 +217,159 @@ class InverseSolution:
 def solve_inverse(problem: CollageProblem, tol: float = 1e-9) -> InverseSolution:
     """Minimize D over C as the LP  min t : |A p + b| <= t, p in C.
 
-    The LP is exact for the assembled constraint set, so D(p*) matches the
-    true constrained minimum up to simplex arithmetic; ``tol`` only guards
-    the optimality assertion in degenerate near-ties.
+    Exact mode uses the chain solver (forward passes of interval propagation,
+    bisection on t to within 1e-13); ``iterations`` counts its forward passes.
+    Grid mode uses the active-set simplex; ``iterations`` counts its pivots.
+    Either way D(p*) is the true constrained minimum of the assembled rows up
+    to floating-point round-off.  ``tol`` must be positive and is otherwise
+    unused.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    p, t, pivots = _solve_minimax_lp(problem._A, problem._b, problem.weight_sum)
+    if problem.mode == "exact":
+        p, iterations = _solve_chain(problem._A, problem._b, problem.weight_sum)
+    else:
+        p, _, iterations = _solve_minimax_lp(problem._A, problem._b, problem.weight_sum)
     d_star = collage_distance(problem, p)
     res = np.abs(problem.residuals(p))
     active = np.nonzero(res >= d_star - 1e-8)[0]
     return InverseSolution(
         p_star=p,
         d_star=d_star,
-        iterations=pivots,
+        iterations=iterations,
         mode=problem.mode,
         active_constraints=list(active),
     )
 
 
-def solve_inverse_subgradient(problem: CollageProblem, iterations: int = 100_000,
-                              step_scale: float | None = None):
-    """Projected subgradient descent on D over C; independent cross-check.
+# ---------------------------------------------------------------------------
+# chain solver for identity partitions
 
-    Steps are step_scale/sqrt(t); the best iterate is returned.  Converges
-    like O(log t / sqrt(t)), so this is a coarse check, not the solver.
+# Bisection on t stops once the bracket is this narrow.
+_CHAIN_TOL = 1e-13
+
+
+def _solve_chain(a_mat: np.ndarray, b_vec: np.ndarray, weight_sum: float):
+    """min t s.t. |A p + b| <= t, p >= 0, sum p = weight_sum, for exact-mode rows.
+
+    Rows 2i and 2i+1 belong to cell i and read P_i + w p_i - c with
+    P_i = sum_{j<i} p_j, w = A[row, i] in [0,1] and c = -b[row].  For a fixed
+    t, :func:`_chain_pass` carries the interval of feasible P_i from cell to
+    cell; bisection finds the least feasible t, and :func:`_chain_weights`
+    walks back through the stored intervals to a feasible p.
+    Returns (p, number of forward passes).
     """
-    k, s = problem.k, problem.weight_sum
-    if step_scale is None:
-        step_scale = s
-    p = np.full(k, s / k)
-    best_p, best_d = p.copy(), collage_distance(problem, p)
-    a_mat, b_vec = problem._A, problem._b
-    for t in range(1, iterations + 1):
-        r = a_mat @ p + b_vec
-        m = int(np.argmax(np.abs(r)))
-        g = a_mat[m] if r[m] >= 0.0 else -a_mat[m]
-        p = _project_simplex(p - (step_scale / np.sqrt(t)) * g, s)
-        d = float(np.max(np.abs(a_mat @ p + b_vec)))
-        if d < best_d:
-            best_d, best_p = d, p.copy()
-    return best_p, best_d
+    k = a_mat.shape[1]
+    # w of rows 2i and 2i+1 as row i; round-off may leave it a few ulps outside [0,1]
+    w = np.clip(a_mat[np.arange(2 * k), np.repeat(np.arange(k), 2)], 0.0, 1.0).reshape(k, 2)
+    c = -b_vec.reshape(k, 2)
+
+    # upper end of the bracket: D at the weights F(a_{i+1}) - F(a_i)
+    guess = np.maximum(np.diff(np.append(w[:, 0], 1.0)), 0.0)  # sums to at least 1 - F(0) = 1
+    guess *= weight_sum / guess.sum()
+    # D(guess) is feasible; the margin keeps round-off from rejecting it
+    t_hi = float(np.max(np.abs(a_mat @ guess + b_vec))) * (1.0 + 1e-9) + 1e-15
+
+    # the two rows of a cell are interchangeable: order them by w
+    order = np.argsort(w, axis=1, kind="stable")
+    (w1, w2), (c1, c2) = np.take_along_axis(w, order, axis=1).T, np.take_along_axis(c, order, axis=1).T
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.stack([w1, w2, w2 - w1])
+    cells = list(zip(*(v.tolist() for v in (w1, w2, c1, c2, *inv, 1.0 - w1, 1.0 - w2, c2 - c1))))
+    if not _chain_pass(cells, weight_sum, t_hi):
+        raise LpError(f"chain solver rejected the feasible bound t = {t_hi}")
+    passes = 1
+    t_lo = 0.0
+    while t_hi - t_lo > _CHAIN_TOL:
+        t = 0.5 * (t_lo + t_hi)
+        passes += 1
+        if _chain_pass(cells, weight_sum, t):
+            t_hi = t
+        else:
+            t_lo = t
+    lows, highs = [], []
+    passes += 1
+    _chain_pass(cells, weight_sum, t_hi, lows, highs)
+    return _chain_weights(cells, weight_sum, t_hi, lows, highs), passes
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0.0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _chain_pass(cells, total: float, t: float, lows=None, highs=None) -> bool:
+    """Forward pass: is max |row| <= t feasible?
+
+    With x = P_i in [lo, hi] and p = p_i >= 0, cell i asks
+    |x + w p - c| <= t for both of its rows and P_{i+1} = x + p <= total.
+    Eliminating x leaves an interval [p_lo, p_hi] of p, and P_{i+1} ranges
+    over [y_lo, y_hi], reached at p_lo and p_hi because both ends are
+    non-decreasing in p.  Reciprocals of zero are inf; inf * 0 = nan drops
+    out of the comparisons, which is right for a constraint 0 p <= 0.
+    When ``lows``/``highs`` are given they receive the interval of every P_i.
+    """
+    lo = hi = 0.0
+    two_t = 2.0 * t
+    for w1, w2, c1, c2, r1, r2, rd, q1, q2, cd in cells:
+        if lows is not None:
+            lows.append(lo)
+            highs.append(hi)
+        p_lo, p_hi = 0.0, total - lo
+        v = (c1 + t - lo) * r1          # w1 p <= c1 + t - lo
+        if v < p_hi:
+            p_hi = v
+        v = (c2 + t - lo) * r2          # w2 p <= c2 + t - lo
+        if v < p_hi:
+            p_hi = v
+        v = (cd + two_t) * rd           # (w2 - w1) p <= c2 - c1 + 2t
+        if v < p_hi:
+            p_hi = v
+        v = (c1 - t - hi) * r1          # w1 p >= c1 - t - hi
+        if v > p_lo:
+            p_lo = v
+        v = (c2 - t - hi) * r2          # w2 p >= c2 - t - hi
+        if v > p_lo:
+            p_lo = v
+        v = (cd - two_t) * rd           # (w2 - w1) p >= c2 - c1 - 2t
+        if v > p_lo:
+            p_lo = v
+        if p_lo > p_hi:
+            return False
+        y_lo = lo + p_lo
+        v = c1 - t + q1 * p_lo
+        if v > y_lo:
+            y_lo = v
+        v = c2 - t + q2 * p_lo
+        if v > y_lo:
+            y_lo = v
+        y_hi = hi + p_hi
+        v = c1 + t + q1 * p_hi
+        if v < y_hi:
+            y_hi = v
+        v = c2 + t + q2 * p_hi
+        if v < y_hi:
+            y_hi = v
+        if total < y_hi:
+            y_hi = total
+        if y_lo > y_hi:
+            return False
+        lo, hi = y_lo, y_hi
+    return hi >= total
+
+
+def _chain_weights(cells, total: float, t: float, lows, highs) -> np.ndarray:
+    """Backward pass: from P_k = total, pick each P_i in the middle of the
+    values that its stored interval, P_i <= P_{i+1} and cell i's rows allow."""
+    k = len(cells)
+    cum = np.empty(k + 1)
+    cum[0], cum[k] = 0.0, total
+    y = total
+    for i in range(k - 1, 0, -1):
+        w1, w2, c1, c2, _, _, _, q1, q2, _ = cells[i]
+        x_lo, x_hi = lows[i], min(highs[i], y)
+        for w, c, q in ((w1, c1, q1), (w2, c2, q2)):
+            if q > 0.0:  # (1 - w) x + w y within c +- t
+                x_lo = max(x_lo, (c - t - w * y) / q)
+                x_hi = min(x_hi, (c + t - w * y) / q)
+        y = min(max(0.5 * (x_lo + x_hi), 0.0), y)
+        cum[i] = y
+    return np.diff(cum)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from ifsdist import (
+    AffineMap,
+    BetaDF,
     BetaParams,
+    CollageProblem,
     beta_quantile,
+    collage_distance,
     edf_ifs,
     read_function_csv,
     read_system_json,
@@ -92,6 +96,32 @@ class TestInvert:
         assert 0.0 < report["D_star"] < 0.5
         assert len(report["active_constraints"]) >= 2
 
+    @pytest.mark.parametrize("seed", [3, 6, 20])
+    def test_random_sample_partition_against_beta25(self, seed, tmp_path):
+        # these partitions made the active-set simplex raise LpError
+        xs = np.random.default_rng(seed).uniform(0.0, 1.0, 50)
+        sample = tmp_path / "cuts.txt"
+        sample.write_text("".join(f"{x:.17g}\n" for x in xs))
+        out = tmp_path / "report.json"
+        code = cli_main(["invert", "--target", "beta:2,5",
+                         "--partition", f"sample:{sample}", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        cuts = np.concatenate([[0.0], np.sort(xs), [1.0]])
+        maps = [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+        problem = CollageProblem(BetaDF(BetaParams(2, 5)), maps, np.zeros(len(maps) - 1))
+        assert report["D_star"] == collage_distance(problem, report["p_star"])
+
+    def test_nan_in_target_sample_is_rejected(self, tmp_path, capsys):
+        sample = tmp_path / "s.txt"
+        sample.write_text("0.2\nnan\n0.5\n")
+        out = tmp_path / "report.json"
+        code = cli_main(["invert", "--target", f"edf:{sample}",
+                         "--partition", "auto:4", "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_target(self, tmp_path):
         fn = tmp_path / "target.csv"
         xs = np.linspace(0.0, 1.0, 21)
@@ -152,6 +182,15 @@ class TestEdfIfsCommand:
             assert (m1.a, m1.b, m1.slope, m1.intercept) == (
                 m2.a, m2.b, m2.slope, m2.intercept,
             )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_is_rejected(self, bad, tmp_path, capsys):
+        sample = tmp_path / "s.txt"
+        sample.write_text(f"0.2\n{bad}\n0.5\n")
+        out = tmp_path / "o.json"
+        assert cli_main(["edf-ifs", "--sample", str(sample), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -76,6 +76,10 @@ class TestEdfIfs:
             edf_ifs([0.4, 0.4, 0.7])
         with pytest.raises(ValueError, match="strictly inside"):
             edf_ifs([0.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            edf_ifs([0.2, float("nan"), 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            quantile_estimator([0.2, float("nan"), 0.5, 0.7], 2)
 
 
 class TestQuantileIfs:

@@ -55,6 +55,11 @@ class TestEmpiricalDF:
         with pytest.raises(ValueError, match="duplicate"):
             edf_from_sample([0.4, 0.4, 0.6])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            edf_from_sample([0.2, bad, 0.5])
+
     def test_counts_are_integers(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -96,6 +96,23 @@ class TestValidate:
         system = two_cell_identity(p=(0.5, 0.6))
         assert any("expected 1" in v for v in validate(system))
 
+    @pytest.mark.parametrize("p, delta", [
+        ((float("nan"), 0.5), (0.0,)),
+        ((0.5, float("inf")), (0.0,)),
+        ((0.5, 0.5), (float("nan"),)),
+    ])
+    def test_non_finite_weights_and_offsets(self, p, delta):
+        system = two_cell_identity(p=p, delta=delta)
+        assert any("must be finite" in v for v in validate(system))
+        with pytest.raises(ValueError, match="finite"):
+            system.require_valid()
+
+    def test_non_finite_map_parameters(self):
+        # a NaN intercept slips past every ordering and range comparison
+        maps = [AffineMap(0.0, 0.5, 1.0, float("nan")), AffineMap.identity(0.5, 1.0)]
+        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
+        assert any("map parameters must be finite" in v for v in validate(system))
+
     def test_negative_weight(self):
         system = two_cell_identity(p=(-0.1, 1.1))
         assert any("negative weight" in v for v in validate(system))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,10 @@ from ifsdist import (
     edf_ifs,
     fixed_point,
     solve_inverse,
-    solve_inverse_subgradient,
     sup_distance,
 )
 
-from conftest import random_cuts
+from conftest import random_cuts, random_identity_system
 
 
 def single_point_problem(x1):
@@ -171,6 +172,15 @@ class TestSolveInverse:
         assert data["mode"] == "exact"
         assert data["iterations"] > 0
 
+    def test_grid_mode_counts_pivots_exact_mode_passes(self):
+        exact = solve_inverse(single_point_problem(0.3))
+        maps = [AffineMap.identity(0.0, 0.3), AffineMap.identity(0.3, 1.0)]
+        grid = solve_inverse(CollageProblem(UniformDF(), maps, [0.0], mode="grid",
+                                            grid_size=16))
+        # a forward pass per bisection step: about log2(D / 1e-13) of them
+        assert 30 <= exact.iterations <= 70
+        assert grid.mode == "grid" and grid.iterations > 0
+
     def test_subgradient_cross_check(self):
         rng = np.random.default_rng(29)
         for _ in range(3):
@@ -180,6 +190,106 @@ class TestSolveInverse:
             _, d_sg = solve_inverse_subgradient(problem, iterations=20_000)
             assert lp.d_star <= d_sg + 1e-9
             assert abs(lp.d_star - d_sg) < 5e-3
+
+
+def solve_inverse_subgradient(problem: CollageProblem, iterations: int = 100_000,
+                              step_scale: float | None = None):
+    """Projected subgradient descent on D over C; independent cross-check.
+
+    Steps are step_scale/sqrt(t); the best iterate is returned.  Converges
+    like O(log t / sqrt(t)), so this is a coarse check, not the solver.
+    """
+    k, s = problem.k, problem.weight_sum
+    if step_scale is None:
+        step_scale = s
+    p = np.full(k, s / k)
+    best_p, best_d = p.copy(), collage_distance(problem, p)
+    a_mat, b_vec = problem._A, problem._b
+    for t in range(1, iterations + 1):
+        r = a_mat @ p + b_vec
+        m = int(np.argmax(np.abs(r)))
+        g = a_mat[m] if r[m] >= 0.0 else -a_mat[m]
+        p = _project_simplex(p - (step_scale / np.sqrt(t)) * g, s)
+        d = float(np.max(np.abs(a_mat @ p + b_vec)))
+        if d < best_d:
+            best_d, best_p = d, p.copy()
+    return best_p, best_d
+
+
+def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = total}."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0.0)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def highs_d_star(problem):
+    """min_p max |T_p F - F| over C by HiGHS, rows rebuilt from the residuals."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k = problem.k
+    b = problem.residuals(np.zeros(k))
+    a = np.column_stack([problem.residuals(np.eye(k)[j]) - b for j in range(k)])
+    ones = np.ones((len(b), 1))
+    res = linprog(
+        c=np.r_[np.zeros(k), 1.0],
+        A_ub=np.block([[a, -ones], [-a, -ones]]),
+        b_ub=np.r_[-b, b],
+        A_eq=np.r_[np.ones(k), 0.0][None, :],
+        b_eq=[problem.weight_sum],
+        bounds=[(0, None)] * k + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def assert_matches_highs(problem, sol):
+    """D* agrees with HiGHS and p* is feasible; p* itself need not be unique."""
+    assert sol.d_star == pytest.approx(highs_d_star(problem), abs=1e-9)
+    assert sol.d_star == collage_distance(problem, sol.p_star)
+    assert float(np.min(sol.p_star)) >= 0.0
+    assert float(np.sum(sol.p_star)) == pytest.approx(problem.weight_sum, abs=1e-12)
+
+
+class TestChainSolverAgainstHighs:
+    @pytest.mark.parametrize("n", [30, 75, 150, 400])
+    def test_random_sample_partitions(self, n):
+        rng = np.random.default_rng(n)
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n)), [1.0]])
+        targets = [BetaDF(BetaParams(2, 5)), BetaDF(BetaParams(0.5, 0.5)),
+                   edf_from_sample(rng.uniform(0.0, 1.0, 120))]
+        for target in targets:
+            start = time.perf_counter()
+            problem = identity_problem(target, cuts)
+            sol = solve_inverse(problem)
+            elapsed = time.perf_counter() - start
+            assert_matches_highs(problem, sol)
+            assert elapsed < 1.0
+
+    def test_edf_target_on_its_own_sample_and_a_coarser_one(self):
+        rng = np.random.default_rng(41)
+        sample = np.sort(rng.uniform(0.0, 1.0, 60))
+        edf = edf_from_sample(sample)
+        for cuts in (np.concatenate([[0.0], sample, [1.0]]),
+                     np.concatenate([[0.0], sample[::7], [1.0]])):
+            problem = identity_problem(edf, cuts)
+            assert_matches_highs(problem, solve_inverse(problem))
+
+    @pytest.mark.parametrize("negative_delta", [False, True])
+    def test_random_identity_system_offsets(self, negative_delta):
+        rng = np.random.default_rng(43 + negative_delta)
+        for trial in range(40):
+            system = random_identity_system(rng, k_range=(2, 12),
+                                            negative_delta=negative_delta)
+            if trial % 2:
+                target = BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2)))
+            else:  # a target with the system's own cuts as breakpoints
+                target = apply(system, UniformDF())
+            problem = CollageProblem(target, system.maps, system.delta)
+            assert problem.mode == "exact"
+            assert_matches_highs(problem, solve_inverse(problem))
 
 
 class TestConvexity:
