@@ -12,6 +12,7 @@ is the seed fallback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifsdist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ifsdist {__version__}")
@@ -143,25 +145,24 @@ def _partition_maps(spec: str):
         if cells < 1:
             raise ValueError("auto partition needs at least one cell")
         cuts = np.linspace(0.0, 1.0, cells + 1)
-    elif spec.startswith("sample:"):
-        xs = np.sort(read_sample_file(spec[len("sample:"):]))
-        if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) == 0.0):
-            raise ValueError("partition sample must be distinct values inside (0,1)")
-        cuts = np.concatenate([[0.0], xs, [1.0]])
     else:
-        xs = np.sort(read_sample_file(spec))
-        if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) == 0.0):
-            raise ValueError("breakpoints must be distinct values inside (0,1)")
-        cuts = np.concatenate([[0.0], xs, [1.0]])
+        # a sample may come in any order; a breakpoint file lists the cuts in order
+        is_sample = spec.startswith("sample:")
+        xs = read_sample_file(spec[len("sample:"):] if is_sample else spec)
+        if not is_sample and np.any(np.diff(xs) <= 0.0):
+            raise ValueError("breakpoints must be strictly increasing")
+        cuts = np.concatenate([[0.0], edf_from_sample(xs).sample, [1.0]])
     return [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
-def _cmd_approximate(args) -> int:
-    target = BetaDF(parse_distribution(args.dist))
-    system = quantile_ifs(target, args.points)
+def _write_iterate(system, args) -> int:
     it = iterate_exact(system, UniformDF(), args.iters)
     write_function_csv(it, args.out, mesh=default_mesh(system))
     return 0
+
+
+def _cmd_approximate(args) -> int:
+    return _write_iterate(quantile_ifs(BetaDF(parse_distribution(args.dist)), args.points), args)
 
 
 def _cmd_edf_ifs(args) -> int:
@@ -182,11 +183,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sample = read_sample_file(args.sample)
-    system = quantile_estimator(sample, args.k)
-    it = iterate_exact(system, UniformDF(), args.iters)
-    write_function_csv(it, args.out, mesh=default_mesh(system))
-    return 0
+    return _write_iterate(quantile_estimator(read_sample_file(args.sample), args.k), args)
 
 
 def _cmd_simulate(args) -> int:

@@ -94,7 +94,22 @@ class AffineMap:
         return AffineMap(a, b, slope, c - slope * a)
 
 
-class IfsSystem:
+class _MapTable:
+    """Lookup arrays of a tuple of maps ordered by target start, as read by
+    :func:`_pullback`."""
+
+    def __init__(self, maps):
+        self.maps = tuple(maps)
+        self._starts = np.array([m.c for m in self.maps])
+        self._ends = np.array([m.d for m in self.maps])
+        self._src_lo = np.array([m.a for m in self.maps])
+        self._src_hi = np.array([m.b for m in self.maps])
+        self._slopes = np.array([m.slope for m in self.maps])
+        self._intercepts = np.array([m.intercept for m in self.maps])
+        self._exact_maps = np.array([m.is_identity() for m in self.maps])
+
+
+class IfsSystem(_MapTable):
     """Immutable bundle of maps, weights and offsets defining the operator.
 
     ``identity_partition`` is auto-detected when not given: true iff every
@@ -104,20 +119,13 @@ class IfsSystem:
     """
 
     def __init__(self, maps, p, delta, identity_partition: bool | None = None):
-        self.maps = tuple(maps)
+        super().__init__(maps)
         self.p = np.asarray(p, float).copy()
         self.delta = np.asarray(delta, float).copy()
         self.p.flags.writeable = False
         self.delta.flags.writeable = False
         k = len(self.maps)
         self._k = k
-        self._starts = np.array([m.c for m in self.maps])
-        self._ends = np.array([m.d for m in self.maps])
-        self._src_lo = np.array([m.a for m in self.maps])
-        self._src_hi = np.array([m.b for m in self.maps])
-        self._slopes = np.array([m.slope for m in self.maps])
-        self._intercepts = np.array([m.intercept for m in self.maps])
-        self._exact_maps = np.array([m.is_identity() for m in self.maps])
         # offsets[i] = sum_{j<i} p_j + sum_{j<i} delta_j
         off = np.zeros(k)
         if k > 1 and len(self.p) == k and len(self.delta) == k - 1:
@@ -264,64 +272,47 @@ def perturbation_bound(p, p_star, c: float) -> float:
 # exact evaluation of operator iterates via affine pullback chains
 
 
-def _pullback_resolved(system: IfsSystem, y: np.ndarray, idx: np.ndarray,
-                       downward: bool) -> np.ndarray:
-    """w_i^{-1}(y) with rounding resolved away from jump knife edges.
+def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
+    """Cell index and preimage of every point: returns (idx, w_idx^{-1}(y)).
 
-    The map arithmetic can land a few ulps on either side of the true
+    Each point belongs to the map whose target interval [c_i, d_i) holds it.
+    For left limits (``left=True``) a point sitting exactly on a target start
+    belongs to the interval to its left and pulls back to that map's source
+    end.  The map arithmetic can land a few ulps on either side of the true
     preimage; when that preimage is a breakpoint of the function being
-    pulled back, the side decides the value.  Right-value chains must
-    resolve at-or-above the true preimage (right continuity), left-limit
-    chains below it.  Identity maps pull back exactly and are left alone.
+    pulled back, the side decides the value.  So right values resolve
+    at-or-above the true preimage (right continuity) and left limits below
+    it.  Identity maps pull back exactly and are left alone.
     """
-    pulled = (y - system._intercepts[idx]) / system._slopes[idx]
-    inexact = ~system._exact_maps[idx]
+    starts = table._starts
+    idx = np.searchsorted(starts, ys, side="right") - 1
+    np.clip(idx, 0, len(starts) - 1, out=idx)
+    if left:
+        on_boundary = (idx > 0) & (starts[idx] == ys)
+        idx -= on_boundary
+    pulled = (ys - table._intercepts[idx]) / table._slopes[idx]
+    inexact = ~table._exact_maps[idx]
     if np.any(inexact):
         step = 4.0 * np.spacing(np.maximum(np.abs(pulled), 1e-300))
-        pulled = np.where(inexact, pulled - step if downward else pulled + step, pulled)
-    return np.clip(pulled, system._src_lo[idx], system._src_hi[idx])
+        pulled = np.where(inexact, pulled - step if left else pulled + step, pulled)
+    pulled = np.clip(pulled, table._src_lo[idx], table._src_hi[idx])
+    if left:
+        pulled = np.where(on_boundary, table._src_hi[idx], pulled)
+    return idx, pulled
 
 
-def _walk_right(system: IfsSystem, xs: np.ndarray, depth: int, snapshot_at: int = -1):
-    """Pullback chain for right values: returns (A, B, y[, snapshot]) with
-    T^depth u (x) = A * u(y) + B.  ``snapshot_at`` captures the state after
-    that many steps, giving T^snapshot_at on the same points for free."""
+def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False,
+          snapshot_at: int = -1):
+    """Pullback chain: returns (A, B, y, snapshot) with T^depth u (x) = A * u(y) + B,
+    or the left limit of T^depth u at x when ``left``, with u's left limit at y.
+    ``snapshot_at`` captures the state after that many steps, giving
+    T^snapshot_at on the same points for free."""
     y = np.asarray(xs, float).astype(float, copy=True)
     amp = np.ones_like(y)
     off = np.zeros_like(y)
     snap = (amp.copy(), off.copy(), y.copy()) if snapshot_at == 0 else None
-    starts = system._starts
-    kmax = system._k - 1
     for step in range(1, depth + 1):
-        idx = np.searchsorted(starts, y, side="right") - 1
-        np.clip(idx, 0, kmax, out=idx)
-        off += amp * system._offsets[idx]
-        amp = amp * system.p[idx]
-        y = _pullback_resolved(system, y, idx, downward=False)
-        if step == snapshot_at:
-            snap = (amp.copy(), off.copy(), y.copy())
-    return amp, off, y, snap
-
-
-def _walk_left(system: IfsSystem, xs: np.ndarray, depth: int, snapshot_at: int = -1):
-    """Pullback chain for left limits.  A point sitting exactly on a target
-    boundary belongs to the interval to its left and pulls back to that
-    map's source end."""
-    y = np.asarray(xs, float).astype(float, copy=True)
-    amp = np.ones_like(y)
-    off = np.zeros_like(y)
-    snap = (amp.copy(), off.copy(), y.copy()) if snapshot_at == 0 else None
-    starts = system._starts
-    kmax = system._k - 1
-    for step in range(1, depth + 1):
-        pos = np.searchsorted(starts, y, side="left")
-        on_boundary = (pos > 0) & (pos <= kmax)
-        on_boundary &= starts[np.minimum(pos, kmax)] == y
-        idx = np.searchsorted(starts, y, side="right") - 1
-        np.clip(idx, 0, kmax, out=idx)
-        idx = np.where(on_boundary, pos - 1, idx)
-        pulled = _pullback_resolved(system, y, idx, downward=True)
-        y = np.where(on_boundary, system._src_hi[idx], pulled)
+        idx, y = _pullback(system, y, left)
         off += amp * system._offsets[idx]
         amp = amp * system.p[idx]
         if step == snapshot_at:
@@ -347,7 +338,7 @@ class IteratedDF(DistributionFunction):
         return float(self.eval_array(np.array([float(x)]))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        amp, off, y, _ = _walk_right(self.system, xs, self.depth)
+        amp, off, y, _ = _walk(self.system, xs, self.depth)
         vals = amp * self.u0.eval_array(y) + off
         # endpoint identities hold exactly up to float summation dust
         xs = np.asarray(xs, float)
@@ -358,7 +349,7 @@ class IteratedDF(DistributionFunction):
         return float(self.eval_left_array(np.array([float(x)]))[0])
 
     def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
-        amp, off, y, _ = _walk_left(self.system, xs, self.depth)
+        amp, off, y, _ = _walk(self.system, xs, self.depth, left=True)
         return amp * self.u0.eval_left_array(y) + off
 
     def breakpoints(self) -> np.ndarray:
@@ -465,13 +456,13 @@ def fixed_point(system: IfsSystem, tol: float = 1e-9, mesh=None) -> FixedPointRe
 
     def gap_at(s: int):
         """d_sup(T^{s+1} u0, T^s u0) on the mesh, and the T^{s+1} samples."""
-        amp, off, y, snap = _walk_right(system, mesh, s + 1, snapshot_at=s)
+        amp, off, y, snap = _walk(system, mesh, s + 1, snapshot_at=s)
         hi = amp * u0.eval_array(y) + off
         amp_s, off_s, y_s = snap
         lo = amp_s * u0.eval_array(y_s) + off_s
         gap = float(np.max(np.abs(hi - lo)))
         xm = mesh[interior]
-        lamp, loff, ly, lsnap = _walk_left(system, xm, s + 1, snapshot_at=s)
+        lamp, loff, ly, lsnap = _walk(system, xm, s + 1, left=True, snapshot_at=s)
         lhi = lamp * u0.eval_left_array(ly) + loff
         lamp_s, loff_s, ly_s = lsnap
         llo = lamp_s * u0.eval_left_array(ly_s) + loff_s

@@ -9,7 +9,11 @@ finite evaluation set:
   cell, so the sup sits at cell endpoints and their left limits -- two
   constraint rows per cell, and D is the true sup;
 - grid mode (general maps): rows are sampled on a uniform grid united with
-  all map-image and target breakpoints, a lower bound on the true sup.
+  all map-image and target breakpoints, a right-value row at every point and
+  a left-limit row at every point above 0, a lower bound on the true sup.
+  The rows pull their points back with the operator's own kernel
+  (:func:`ifsdist.ifs._pullback`), so each row is T_p F - F as ``apply``
+  evaluates it, on either side of a jump, up to summation round-off.
 
 Minimizing max_m |A_m p + b_m| over C is the linear program
 min t s.t. -t <= A_m p + b_m <= t, p in C.  Exact mode solves it with a
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distfn import DistributionFunction
-from .ifs import _TOL, _structural_violations
+from .ifs import _TOL, _MapTable, _pullback, _structural_violations
 
 __all__ = [
     "CollageProblem",
@@ -86,49 +90,33 @@ class CollageProblem:
     # -- constraint assembly ------------------------------------------------
 
     def _assemble(self) -> None:
-        target, maps = self.target, self.maps
         cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
         if self.mode == "exact":
             self._assemble_exact(cum_delta)
             return
-        rows_a, rows_b, spots = [], [], []
-
-        def add_row(i: int, f_pulled: float, f_at: float, x: float, left: bool) -> None:
-            # T_p F(x) - F(x) = sum_{j<i} p_j + p_i F(w_i^{-1}(x)) + sum_{j<i} delta_j - F(x)
-            coeff = np.zeros(self.k)
-            coeff[:i] = 1.0
-            coeff[i] = f_pulled
-            rows_a.append(coeff)
-            rows_b.append(cum_delta[i] - f_at)
-            spots.append((x, left))
-
-        starts = np.array([m.c for m in maps])
-        pts = [np.linspace(0.0, 1.0, self.grid_size)]
-        pts.append(starts)
-        pts.append(np.array([m.d for m in maps]))
+        target, table = self.target, _MapTable(self.maps)
+        pts = [np.linspace(0.0, 1.0, self.grid_size), table._starts, table._ends]
         bps = np.asarray(target.breakpoints(), float)
         if bps.size:
             pts.append(bps)
-            for m in maps:
+            for m in self.maps:
                 inside = bps[(bps >= m.a) & (bps < m.b)]
                 if inside.size:
                     pts.append(m.slope * inside + m.intercept)
         xs = np.unique(np.concatenate(pts))
         xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-        kmax = self.k - 1
-        for x in xs:
-            i = min(max(int(np.searchsorted(starts, x, side="right")) - 1, 0), kmax)
-            add_row(i, target.eval(maps[i].inverse(x)), target.eval(x), x, False)
-            if x > 0.0:
-                pos = int(np.searchsorted(starts, x, side="left"))
-                if 0 < pos <= kmax and starts[pos] == x:
-                    il = pos - 1
-                    pulled_left = target.eval_left_limit(maps[il].b)
-                else:
-                    il = i
-                    pulled_left = target.eval_left_limit(maps[il].inverse(x))
-                add_row(il, pulled_left, target.eval_left_limit(x), x, True)
-        self._set_rows(np.asarray(rows_a), np.asarray(rows_b), spots)
+        # a right-value row at every x, then a left-limit row at every x > 0
+        xl = xs[xs > 0.0]
+        cell_r, pulled_r = _pullback(table, xs)
+        cell_l, pulled_l = _pullback(table, xl, left=True)
+        cell = np.concatenate([cell_r, cell_l])
+        w = np.concatenate([target.eval_array(pulled_r), target.eval_left_array(pulled_l)])
+        f = np.concatenate([target.eval_array(xs), target.eval_left_array(xl)])
+        spot_x = np.concatenate([xs, xl])
+        is_left = np.arange(len(cell)) >= len(xs)
+        order = np.lexsort((is_left, spot_x))
+        self._set_rows(cell[order], w[order], f[order], cum_delta,
+                       zip(spot_x[order].tolist(), is_left[order].tolist()))
 
     def _assemble_exact(self, cum_delta: np.ndarray) -> None:
         """Rows at a_i and b_i- of every cell from one evaluation of F at each.
@@ -144,15 +132,16 @@ class CollageProblem:
         w[1::2] = self.target.eval_left_array(b)
         if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
             raise ValueError("target values at the partition cuts must lie in [0,1]")
-        cell = np.repeat(np.arange(k), 2)
-        rows_a = np.repeat(np.tri(k, k, -1), 2, axis=0)
-        rows_a[np.arange(2 * k), cell] = w
         spots = [spot for m in self.maps for spot in ((m.a, False), (m.b, True))]
-        self._set_rows(rows_a, cum_delta[cell] - w, spots)
+        self._set_rows(np.repeat(np.arange(k), 2), w, w, cum_delta, spots)
 
-    def _set_rows(self, a_mat: np.ndarray, b_vec: np.ndarray, spots) -> None:
-        self._A = a_mat
-        self._b = b_vec
+    def _set_rows(self, cell: np.ndarray, w: np.ndarray, f: np.ndarray,
+                  cum_delta: np.ndarray, spots) -> None:
+        """Row m reads T_p F - F = sum_{j<i} p_j + p_i w + sum_{j<i} delta_j - f
+        with i = cell[m], w = F at the preimage and f = F at the row's point."""
+        self._A = (np.arange(self.k) < cell[:, None]).astype(float)
+        self._A[np.arange(len(cell)), cell] = w
+        self._b = cum_delta[cell] - f
         self._A.flags.writeable = False
         self._b.flags.writeable = False
         self.eval_spots = tuple(spots)  # (x, is_left_limit) per constraint row

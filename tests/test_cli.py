@@ -112,6 +112,39 @@ class TestInvert:
         problem = CollageProblem(BetaDF(BetaParams(2, 5)), maps, np.zeros(len(maps) - 1))
         assert report["D_star"] == collage_distance(problem, report["p_star"])
 
+    def test_unordered_sample_partition_is_sorted(self, tmp_path):
+        reports = []
+        for name, values in (("shuffled", "0.6\n0.2\n0.4\n"), ("sorted", "0.2\n0.4\n0.6\n")):
+            cuts, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            cuts.write_text(values)
+            assert cli_main(["invert", "--target", "beta:2,2",
+                             "--partition", f"sample:{cuts}", "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("prefix,values,message", [
+        ("", "0.6\n0.2\n0.4\n", "strictly increasing"),
+        ("", "0.2\n0.4\n0.4\n", "strictly increasing"),
+        ("", "0.2\n0.4\n1.0\n", "inside (0,1)"),
+        ("", "-0.1\n0.4\n", "inside (0,1)"),
+        ("", "0.2\nnan\n", "finite"),
+        ("sample:", "0.4\n0.2\n0.4\n", "duplicate"),
+        ("sample:", "0.4\n0.0\n", "inside (0,1)"),
+        ("sample:", "0.4\n1.5\n", "inside (0,1)"),
+        ("sample:", "0.4\ninf\n", "finite"),
+    ], ids=["unordered", "duplicate", "at-one", "negative", "nan", "sample-duplicate",
+            "sample-at-zero", "sample-above-one", "sample-inf"])
+    def test_bad_partition_is_rejected(self, prefix, values, message, tmp_path, capsys):
+        cuts = tmp_path / "cuts.txt"
+        cuts.write_text(values)
+        out = tmp_path / "report.json"
+        code = cli_main(["invert", "--target", "beta:2,2",
+                         "--partition", f"{prefix}{cuts}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_nan_in_target_sample_is_rejected(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"
         sample.write_text("0.2\nnan\n0.5\n")

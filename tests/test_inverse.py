@@ -17,11 +17,14 @@ from ifsdist import (
     edf_from_sample,
     edf_ifs,
     fixed_point,
+    quantile_ifs,
     solve_inverse,
     sup_distance,
 )
+from ifsdist.inverse import LpError
 
-from conftest import random_cuts, random_identity_system
+from conftest import (random_contractive_system, random_cuts, random_identity_system,
+                      random_linear_df, random_step_df)
 
 
 def single_point_problem(x1):
@@ -90,28 +93,35 @@ class TestCollageDistance:
         with pytest.raises(ValueError, match="length"):
             collage_distance(problem, [0.5, 0.3, 0.2])
 
-    def test_agrees_with_operator_evaluation(self):
+    @pytest.mark.parametrize("kind", ["beta", "step", "edf"])
+    def test_agrees_with_operator_evaluation(self, kind):
         # independent route: build the system and evaluate T_p F - F directly
-        rng = np.random.default_rng(11)
-        target = BetaDF(BetaParams(2, 2))
-        cuts = random_cuts(rng, 4)
-        maps = [
-            AffineMap.from_intervals((0.0, 1.0), (cuts[i], cuts[i + 1]))
-            for i in range(4)
-        ]
-        problem = CollageProblem(target, maps, np.zeros(3), grid_size=128)
-        raw = rng.random(4) + 0.1
-        p = raw / raw.sum()
-        system = IfsSystem(maps, p, np.zeros(3))
-        assert not system.violations()
-        image = apply(system, target)
-        worst = 0.0
-        for x, is_left in problem.eval_spots:
-            if is_left:
-                worst = max(worst, abs(image.eval_left_limit(x) - target.eval_left_limit(x)))
+        # at every row's own point.  Step and e.d.f. targets have jumps whose
+        # map images pull back within an ulp of the jump, on either side.
+        rng = np.random.default_rng({"beta": 11, "step": 12, "edf": 13}[kind])
+        for _ in range(1 if kind == "beta" else 40):
+            if kind == "beta":
+                cuts = random_cuts(rng, 4)
+                maps = [AffineMap.from_intervals((0.0, 1.0), (cuts[i], cuts[i + 1]))
+                        for i in range(4)]
+                raw = rng.random(4) + 0.1
+                system = IfsSystem(maps, raw / raw.sum(), np.zeros(3))
+                target = BetaDF(BetaParams(2, 2))
             else:
-                worst = max(worst, abs(image.eval(x) - target.eval(x)))
-        assert collage_distance(problem, p) == pytest.approx(worst, abs=1e-12)
+                system = random_contractive_system(rng)
+                assert np.all(system.delta > 0.0)
+                if kind == "step":
+                    target = random_step_df(rng)
+                else:
+                    target = edf_from_sample(rng.uniform(0.02, 0.98, int(rng.integers(3, 30))))
+            assert not system.violations()
+            problem = CollageProblem(target, system.maps, system.delta, grid_size=128)
+            image = apply(system, target)
+            xs = np.array([x for x, _ in problem.eval_spots])
+            left = np.array([is_left for _, is_left in problem.eval_spots])
+            want = np.where(left, image.eval_left_array(xs) - target.eval_left_array(xs),
+                            image.eval_array(xs) - target.eval_array(xs))
+            np.testing.assert_allclose(problem.residuals(system.p), want, rtol=0, atol=1e-12)
 
 
 class TestSolveInverse:
@@ -245,12 +255,13 @@ def highs_d_star(problem):
     return float(res.fun)
 
 
-def assert_matches_highs(problem, sol):
-    """D* agrees with HiGHS and p* is feasible; p* itself need not be unique."""
+def assert_matches_highs(problem, sol, slack=0.0):
+    """D* agrees with HiGHS and p* is feasible up to ``slack``; p* itself need
+    not be unique."""
     assert sol.d_star == pytest.approx(highs_d_star(problem), abs=1e-9)
     assert sol.d_star == collage_distance(problem, sol.p_star)
-    assert float(np.min(sol.p_star)) >= 0.0
-    assert float(np.sum(sol.p_star)) == pytest.approx(problem.weight_sum, abs=1e-12)
+    assert float(np.min(sol.p_star)) >= -slack
+    assert float(np.sum(sol.p_star)) == pytest.approx(problem.weight_sum, abs=1e-12 + slack)
 
 
 class TestChainSolverAgainstHighs:
@@ -290,6 +301,45 @@ class TestChainSolverAgainstHighs:
             problem = CollageProblem(target, system.maps, system.delta)
             assert problem.mode == "exact"
             assert_matches_highs(problem, solve_inverse(problem))
+
+
+def random_grid_problem(case):
+    """Seeded grid-mode problem: quantile_ifs maps of a random Beta with
+    2..20 cells, fitted to a Beta, step, linear or e.d.f. target by case."""
+    rng = np.random.default_rng((5, case))
+    source = BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2)))
+    maps = quantile_ifs(source, int(rng.integers(1, 20))).maps
+    kind = case % 4
+    if kind == 0:
+        target = BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2)))
+    elif kind == 1:
+        target = random_step_df(rng)
+    elif kind == 2:
+        target = random_linear_df(rng)
+    else:
+        target = edf_from_sample(rng.uniform(0.02, 0.98, int(rng.integers(3, 40))))
+    return CollageProblem(target, maps, np.zeros(len(maps) - 1), grid_size=128)
+
+
+# Cases on which the grid-mode simplex raises LpError (ROADMAP item 2): its
+# active-set loop does not close (52, 75, 80) or phase 1 ends positive
+# (1, 29, 77, 89).
+GRID_LP_FAILURES = {1, 29, 52, 75, 77, 80, 89}
+
+
+class TestGridSolverAgainstHighs:
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=pytest.mark.xfail(
+            raises=LpError, strict=True,
+            reason="grid-mode simplex fails on this LP; ROADMAP item 2"))
+        if case in GRID_LP_FAILURES else case
+        for case in range(100)
+    ])
+    def test_random_problems(self, case):
+        problem = random_grid_problem(case)
+        assert problem.mode == "grid"
+        # the simplex leaves round-off of order 1e-11 in p*
+        assert_matches_highs(problem, solve_inverse(problem), slack=1e-10)
 
 
 class TestConvexity:
