@@ -89,7 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default=None)
     p.add_argument("--eval-points", type=int, default=20)
     p.add_argument("--iters", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--exact-sup", action="store_true",
                    help="augment the evaluation points with all breakpoints")
     p.add_argument("--out", required=True)

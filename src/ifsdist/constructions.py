@@ -14,7 +14,6 @@ Three builders:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -124,21 +123,26 @@ def quantile_ifs(f: DistributionFunction, n_points: int) -> IfsSystem:
     return IfsSystem(maps, p, np.zeros(m), identity_partition=False)
 
 
-def empirical_quantile(sample, level: float) -> float:
-    """Left-continuous empirical quantile: the ceil(level*n)-th order statistic.
+def _order_ranks(levels, n: int) -> np.ndarray:
+    """1-based ranks ceil(level*n) of the order statistics at ``levels``.
 
     Ranks within 1e-12 of an exact integer are treated as that integer, so
     levels like i/k with i*n/k integral pick the intended order statistic
-    despite float rounding.
+    despite float rounding; ranks are clamped to [1, n].
     """
+    ranks = np.ceil(np.asarray(levels, float) * n - 1e-12)
+    return np.clip(ranks, 1, n).astype(int)
+
+
+def empirical_quantile(sample, level: float) -> float:
+    """Left-continuous empirical quantile: the ceil(level*n)-th order statistic
+    (see :func:`_order_ranks` for the rounding rule)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"quantile level {level} outside (0,1)")
     arr = np.sort(np.asarray(list(sample), float))
     if arr.size == 0:
         raise ValueError("sample is empty")
-    rank = ceil(level * arr.size - 1e-12)
-    rank = min(max(rank, 1), arr.size)
-    return float(arr[rank - 1])
+    return float(arr[_order_ranks(level, arr.size) - 1])
 
 
 def quantile_estimator(sample, k: int) -> IfsSystem:
@@ -155,7 +159,7 @@ def quantile_estimator(sample, k: int) -> IfsSystem:
     n = len(arr)
     if k >= n:
         raise ValueError(f"k = {k} must be smaller than the sample size {n}")
-    qs = [empirical_quantile(arr, i / k) for i in range(1, k)]
+    qs = arr[_order_ranks(np.arange(1, k) / k, n) - 1]
     cuts = np.concatenate([[0.0], qs, [1.0]])
     weights = np.full(k, 1.0 / k)
     merged_cuts = [0.0]

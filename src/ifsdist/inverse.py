@@ -208,7 +208,8 @@ def solve_inverse(problem: CollageProblem, tol: float = 1e-9) -> InverseSolution
 
     Exact mode uses the chain solver (forward passes of interval propagation,
     bisection on t to within 1e-13); ``iterations`` counts its forward passes.
-    Grid mode uses the active-set simplex; ``iterations`` counts its pivots.
+    Grid mode uses the active-set simplex; ``iterations`` counts its pivots,
+    and the simplex's p* is clipped at 0 and rescaled onto the weight simplex.
     Either way D(p*) is the true constrained minimum of the assembled rows up
     to floating-point round-off.  ``tol`` must be positive and is otherwise
     unused.
@@ -219,6 +220,9 @@ def solve_inverse(problem: CollageProblem, tol: float = 1e-9) -> InverseSolution
         p, iterations = _solve_chain(problem._A, problem._b, problem.weight_sum)
     else:
         p, _, iterations = _solve_minimax_lp(problem._A, problem._b, problem.weight_sum)
+        # the simplex leaves p* up to ~1e-11 off the weight simplex
+        p = np.maximum(p, 0.0)
+        p *= problem.weight_sum / p.sum()
     d_star = collage_distance(problem, p)
     res = np.abs(problem.residuals(p))
     active = np.nonzero(res >= d_star - 1e-8)[0]

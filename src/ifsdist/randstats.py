@@ -2,19 +2,32 @@
 
 The regularized incomplete beta function is computed by the continued
 fraction expansion (modified Lentz recurrence, cf. Numerical Recipes 6.4)
-with the usual symmetry split; the quantile inverts it by bisection.
+with the usual symmetry split.
+
+The quantile is defined by bisection: the midpoint of [lo, hi] after 60
+halvings of [0,1] on the test I_mid < u.  It is computed without one CDF
+evaluation per step.  A Halley guess predicts each quantile's bisection
+path, batched CDF evaluations over all predicted midpoints check every
+step, and a path that fails a check takes the true outcome at that step and
+is predicted again from there.  Every step thus ends up decided by the same
+I_mid < u test that plain bisection makes, and a continued-fraction lane
+does not depend on the other points of its batch, so the result is
+bit-identical to plain bisection whatever the guess; a poor (or NaN) guess
+only costs time.
+
 Sampling is plain inverse transform so that every variate is reproducible
 from the uniform stream alone.
 
 The PRNG is splitmix64: one 64-bit additive state advance plus a mixing
-finalizer, implemented in explicit integer arithmetic so streams are
-bit-identical on every platform.
+finalizer, in explicit integer arithmetic (Python integers one draw at a
+time, numpy's wrapping uint64 arithmetic for a block of draws), so streams
+are bit-identical on every platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
+from math import exp, lgamma, log
 
 import numpy as np
 
@@ -35,6 +48,18 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# The quantile is the midpoint after this many bisection halvings of [0,1].
+_STEPS = 60
+# Most points that one CDF evaluation of the bisection check takes; it bounds
+# the check's working arrays.
+_BATCH = 8192
+# Quantiles are found this many at a time; their predicted midpoints (up to
+# _STEPS each) then fill about eight checks.
+_LANES = _BATCH // 8
+# Up to this many points, a CDF evaluation with points on both sides of the
+# symmetry split runs one continued fraction with per-point shapes.
+_SMALL = 512
 
 
 @dataclass(frozen=True)
@@ -74,47 +99,64 @@ def parse_distribution(spec: str) -> BetaParams:
 # regularized incomplete beta function
 
 
-def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray, max_iter: int = 400,
-             eps: float = 3e-15) -> np.ndarray:
+def _beta_cf(a, b, x: np.ndarray, max_iter: int = 400, eps: float = 3e-15) -> np.ndarray:
     """Continued fraction for the incomplete beta, vectorized modified Lentz.
 
-    Lanes freeze as soon as their increment is within eps of 1, so each
-    lane's result is independent of the rest of the batch.
+    ``a`` and ``b`` are scalars, or arrays shaped like ``x`` (one pair per
+    lane).  A lane leaves the iteration as soon as its increment is within
+    eps of 1, so each lane's result is independent of the rest of the batch.
+
+    Lentz replaces a c or d below 1e-300 in magnitude by 1e-300.  Every c
+    and d is computed as 1 + t or 1 - t, which is either 0 or at least
+    2^-53 in magnitude, so only zeros are replaced.
     """
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    per_lane = np.ndim(a) > 0
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
+    d[d == 0.0] = tiny
+    np.divide(1.0, d, out=d)
     h = d.copy()
-    active = np.ones(x.shape, bool)
     for m in range(1, max_iter + 1):
+        if lane.size == 0:
+            return out
         m2 = 2.0 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d_new = 1.0 + aa * d
-        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
-        c_new = 1.0 + aa / c
-        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
-        d_new = 1.0 / d_new
-        h_mid = h * d_new * c_new
+        d *= aa
+        d += 1.0
+        d[d == 0.0] = tiny
+        np.divide(aa, c, out=c)
+        c += 1.0
+        c[c == 0.0] = tiny
+        np.divide(1.0, d, out=d)
+        h *= d
+        h *= c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d2 = 1.0 + aa * d_new
-        d2 = np.where(np.abs(d2) < tiny, tiny, d2)
-        c2 = 1.0 + aa / c_new
-        c2 = np.where(np.abs(c2) < tiny, tiny, c2)
-        d2 = 1.0 / d2
-        delta = d2 * c2
-        h_new = h_mid * delta
-        h = np.where(active, h_new, h)
-        c = np.where(active, c2, c)
-        d = np.where(active, d2, d)
-        active = active & (np.abs(delta - 1.0) >= eps)
-        if not active.any():
-            break
-    return h
+        d *= aa
+        d += 1.0
+        d[d == 0.0] = tiny
+        np.divide(aa, c, out=c)
+        c += 1.0
+        c[c == 0.0] = tiny
+        np.divide(1.0, d, out=d)
+        delta = d * c
+        h *= delta
+        delta -= 1.0
+        going = np.abs(delta, out=delta) >= eps
+        if not going.all():
+            done = np.flatnonzero(~going)
+            out[lane[done]] = h[done]
+            keep = np.flatnonzero(going)
+            lane, x, h, c, d = lane[keep], x[keep], h[keep], c[keep], d[keep]
+            if per_lane:
+                a, b, qab, qap, qam = a[keep], b[keep], qab[keep], qap[keep], qam[keep]
+    out[lane] = h
+    return out
 
 
 def _reg_inc_beta(alpha: float, beta: float, xs: np.ndarray) -> np.ndarray:
@@ -130,15 +172,25 @@ def _reg_inc_beta(alpha: float, beta: float, xs: np.ndarray) -> np.ndarray:
     if inner.any():
         x = xs[inner]
         direct = x < (alpha + 1.0) / (alpha + beta + 2.0)
-        w = np.where(direct, x, 1.0 - x)
-        aa = np.where(direct, alpha, beta)
-        bb = np.where(direct, beta, alpha)
-        ln_front = (
-            lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
-            + aa * np.log(w) + bb * np.log1p(-w)
-        )
-        val = np.exp(ln_front) * _beta_cf(aa, bb, w) / aa
-        out[inner] = np.where(direct, val, 1.0 - val)
+        front = lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
+
+        def series(w, aa, bb):  # I_w(aa, bb), for w below the split
+            return np.exp(front + aa * np.log(w) + bb * np.log1p(-w)) * _beta_cf(aa, bb, w) / aa
+
+        if x.size <= _SMALL and 0 < np.count_nonzero(direct) < x.size:
+            # few points on both sides: one pass with per-lane shapes costs
+            # less than two passes with scalar ones
+            val = series(np.where(direct, x, 1.0 - x),
+                         np.where(direct, alpha, beta), np.where(direct, beta, alpha))
+            out[inner] = np.where(direct, val, 1.0 - val)
+        else:
+            val = np.empty_like(x)
+            for lanes, aa, bb, swap in ((np.flatnonzero(direct), alpha, beta, False),
+                                        (np.flatnonzero(~direct), beta, alpha, True)):
+                if lanes.size:
+                    v = series(1.0 - x[lanes] if swap else x[lanes], aa, bb)
+                    val[lanes] = 1.0 - v if swap else v
+            out[inner] = val
         np.clip(out, 0.0, 1.0, out=out)
     return out
 
@@ -150,16 +202,116 @@ def beta_cdf(params: BetaParams, x: float) -> float:
     return float(_reg_inc_beta(params.alpha, params.beta, np.array([x]))[0])
 
 
-def _beta_quantile_vec(params: BetaParams, us: np.ndarray, steps: int = 60) -> np.ndarray:
+def _beta_quantile_vec(params: BetaParams, us: np.ndarray) -> np.ndarray:
+    """60-step bisection of I_x(alpha, beta) = u on [0,1] for every u."""
     us = np.asarray(us, float)
+    flat = us.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _LANES):
+        out[start:start + _LANES] = _bisect(params.alpha, params.beta,
+                                            flat[start:start + _LANES])
+    return out.reshape(us.shape)
+
+
+def _bisect(a: float, b: float, us: np.ndarray) -> np.ndarray:
+    """Bisection on the test I_mid < u, steered by a guess and then checked.
+
+    In each round every unfinished lane walks the rest of the bisection path
+    that its guess predicts, CDF evaluations over all walked midpoints (at
+    most _BATCH at a time) check every predicted step, and a lane keeps its
+    path up to its first wrong step, takes the true step there and goes on
+    in the next round.
+    A lane whose ``mid`` equals ``lo`` or ``hi`` is finished: those were set
+    by tests that held (or are 0) and failed (or are 1), so every later step
+    repeats.
+    """
+    guess = _quantile_guess(a, b, us)
     lo = np.zeros_like(us)
     hi = np.ones_like(us)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = _reg_inc_beta(params.alpha, params.beta, mid) < us
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    left = np.full(us.size, _STEPS)  # steps each lane has still to take
+    todo = np.arange(us.size)
+    while todo.size:
+        budget = left[todo]
+        steps = int(budget.max())
+        walk_lo, walk_hi, g = lo[todo], hi[todo], guess[todo]
+        mids = np.empty((steps, todo.size))
+        for step in range(steps):
+            mid = 0.5 * (walk_lo + walk_hi)
+            mids[step] = mid
+            below = mid < g
+            walk_lo = np.where(below, mid, walk_lo)
+            walk_hi = np.where(below, walk_hi, mid)
+        below = mids < g
+        # steps past a lane's budget are not its own; a repeated midpoint
+        # repeats its test, so of a stopped lane's steps only the first is checked
+        checked = np.arange(steps)[:, None] < budget
+        checked[1:] &= mids[1:] != mids[:-1]
+        levels = np.broadcast_to(us[todo], mids.shape)
+        wrong = np.zeros_like(checked)
+        rows = _BATCH // todo.size
+        for row in range(0, steps, rows):
+            part = slice(row, row + rows)
+            check = checked[part]
+            holds = _reg_inc_beta(a, b, mids[part][check]) < levels[part][check]
+            wrong[part][check] = holds != below[part][check]
+        failed = wrong.any(axis=0)
+        # each lane keeps its path up to its first wrong step, where it takes
+        # the true outcome instead, or to the end of its budget
+        truth = below ^ wrong
+        end = np.where(failed, wrong.argmax(axis=0), budget - 1)
+        kept = np.arange(steps)[:, None] <= end
+        # lo and hi end at the last midpoint that raised or lowered them
+        lanes = np.arange(todo.size)
+        for bound, moved in ((lo, kept & truth), (hi, kept & ~truth)):
+            last = steps - 1 - moved[::-1].argmax(axis=0)
+            bound[todo] = np.where(moved.any(axis=0), mids[last, lanes], bound[todo])
+        left[todo] = np.where(failed, budget - end - 1, 0)
+        todo = todo[failed]
+        mid = 0.5 * (lo[todo] + hi[todo])
+        todo = todo[(left[todo] > 0) & (mid != lo[todo]) & (mid != hi[todo])]
     return 0.5 * (lo + hi)
+
+
+def _quantile_guess(a: float, b: float, us: np.ndarray) -> np.ndarray:
+    """Approximate quantiles: Halley steps from the starting point of
+    Numerical Recipes (3rd ed., 6.4, invbetai), taken on each lane until a
+    step is below 1e-10 of x; exact for the uniform.  Only steers the
+    bisection, so any value, NaN included, is safe."""
+    if a == 1.0 and b == 1.0:
+        return us.copy()
+    with np.errstate(all="ignore"):
+        if a >= 1.0 and b >= 1.0:
+            pp = np.where(us < 0.5, us, 1.0 - us)
+            t = np.sqrt(-2.0 * np.log(pp))
+            x = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+            x = np.where(us < 0.5, -x, x)
+            al = (x * x - 3.0) / 6.0
+            h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+            w = (x * np.sqrt(al + h) / h
+                 - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+            x = a / (a + b * np.exp(2.0 * w))
+        else:
+            lna, lnb = log(a / (a + b)), log(b / (a + b))
+            t, u = exp(a * lna) / a, exp(b * lnb) / b
+            w = t + u
+            x = np.where(us < t / w, (a * w * us) ** (1.0 / a),
+                         1.0 - (b * w * (1.0 - us)) ** (1.0 / b))
+        afac = lgamma(a + b) - lgamma(a) - lgamma(b)
+        lanes = np.arange(us.size)
+        for _ in range(10):
+            lanes = lanes[(x[lanes] > 0.0) & (x[lanes] < 1.0)]
+            if lanes.size == 0:
+                break
+            xl = x[lanes]
+            err = _reg_inc_beta(a, b, xl) - us[lanes]
+            u = err / np.exp((a - 1.0) * np.log(xl) + (b - 1.0) * np.log1p(-xl) + afac)
+            step = u / (1.0 - 0.5 * np.minimum(1.0, u * ((a - 1.0) / xl - (b - 1.0) / (1.0 - xl))))
+            xl = xl - step
+            xl = np.where(xl <= 0.0, 0.5 * (xl + step), xl)
+            xl = np.where(xl >= 1.0, 0.5 * (xl + step + 1.0), xl)
+            x[lanes] = xl
+            lanes = lanes[~(np.abs(step) < 1e-10 * xl)]
+    return x
 
 
 def beta_quantile(params: BetaParams, u: float) -> float:
@@ -220,6 +372,21 @@ class SeededRng:
         """Uniform double in [0,1) from the top 53 bits."""
         return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`uniform`, as one array.
+
+        numpy's uint64 arithmetic wraps modulo 2^64, so the stream is the
+        same as ``count`` calls of :meth:`uniform`.
+        """
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return (z >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
+
 
 def derive_substream(seed: int, index: int) -> int:
     """Seed of substream ``index``: mix64(seed ^ mix64((index+1)*GOLDEN)).
@@ -239,10 +406,9 @@ def sample_beta(params: BetaParams, n: int, rng: SeededRng) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    us = np.empty(n)
-    for i in range(n):
-        u = rng.uniform()
-        while not 1e-12 <= u <= 1.0 - 1e-12:
-            u = rng.uniform()
-        us[i] = u
-    return _beta_quantile_vec(params, us)
+    us = rng.uniforms(n)
+    while True:
+        us = us[(us >= 1e-12) & (us <= 1.0 - 1e-12)]
+        if us.size == n:
+            return _beta_quantile_vec(params, us)
+        us = np.concatenate([us, rng.uniforms(n - us.size)])

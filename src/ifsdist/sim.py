@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil
 
@@ -141,14 +140,9 @@ class SimulationTable:
             fh.write(self.to_csv_text())
 
 
-def _run_config(config: TrialConfig, jobs: int) -> TableRow:
+def _run_config(config: TrialConfig) -> TableRow:
     config.check()
-    indices = range(config.trials)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda i: run_trial(config, i), indices))
-    else:
-        results = [run_trial(config, i) for i in indices]
+    results = [run_trial(config, i) for i in range(config.trials)]
     mean_a = float(np.mean([r.d_estimator for r in results]))
     mean_b = float(np.mean([r.d_edf for r in results]))
     ratio_pct = 100.0 * mean_a / mean_b if mean_b > 0.0 else float("nan")
@@ -173,8 +167,15 @@ def _run_config(config: TrialConfig, jobs: int) -> TableRow:
 
 
 def run_table(configs, jobs: int = 1) -> SimulationTable:
-    """Run each config's trials and aggregate arithmetic means per row."""
+    """Run each config's trials and aggregate arithmetic means per row.
+
+    Trials run one after another whatever ``jobs`` is (it must be >= 1):
+    they hold the interpreter lock, so threads made the sweep slower, and
+    per-trial substreams make the output independent of it.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = list(configs)
     if not configs:
         raise ValueError("no configurations given")
-    return SimulationTable(tuple(_run_config(cfg, jobs) for cfg in configs))
+    return SimulationTable(tuple(_run_config(cfg) for cfg in configs))

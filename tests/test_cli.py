@@ -243,6 +243,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_jobs_below_one(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli_main(["simulate", "--dist", "beta:2,2", "--n", "10",
+                         "--trials", "1", "--jobs", "0", "--out", str(out)])
+        assert code == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_distribution_spec(self, tmp_path):
         out = tmp_path / "x.csv"
         code = cli_main(["simulate", "--dist", "cauchy:0,1", "--n", "10",

@@ -182,6 +182,24 @@ class TestQuantileEstimator:
         # the merged cell carries the weight of every collapsed quantile
         assert np.max(system.p) >= 0.5 - 1e-12
 
+    def test_cuts_are_the_per_level_empirical_quantiles(self):
+        rng = np.random.default_rng(19)
+        for trial in range(100):
+            n = int(rng.integers(3, 300))
+            if trial % 2:  # ties, so that quantiles coincide and cells merge
+                sample = rng.choice(np.arange(1, 10) / 10, size=n)
+            else:
+                sample = rng.uniform(0.001, 0.999, size=n)
+            k = int(rng.integers(2, n))
+            levels = [i / k for i in range(1, k)]
+            qs = [empirical_quantile(sample, level) for level in levels]
+            cuts, first = np.unique(np.concatenate([[0.0], qs]), return_index=True)
+            system = quantile_estimator(sample, k)
+            assert [m.c for m in system.maps] == cuts.tolist()
+            # a merged cell carries one 1/k per level that collapsed into it
+            counts = np.diff(np.concatenate([first, [k]]))
+            assert system.p == pytest.approx(counts / k, abs=1e-12)
+
     def test_validation(self):
         sample = [0.2, 0.4, 0.6, 0.8]
         with pytest.raises(ValueError, match=">= 2"):

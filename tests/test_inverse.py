@@ -255,13 +255,12 @@ def highs_d_star(problem):
     return float(res.fun)
 
 
-def assert_matches_highs(problem, sol, slack=0.0):
-    """D* agrees with HiGHS and p* is feasible up to ``slack``; p* itself need
-    not be unique."""
+def assert_matches_highs(problem, sol):
+    """D* agrees with HiGHS and p* is feasible; p* itself need not be unique."""
     assert sol.d_star == pytest.approx(highs_d_star(problem), abs=1e-9)
     assert sol.d_star == collage_distance(problem, sol.p_star)
-    assert float(np.min(sol.p_star)) >= -slack
-    assert float(np.sum(sol.p_star)) == pytest.approx(problem.weight_sum, abs=1e-12 + slack)
+    assert float(np.min(sol.p_star)) >= 0.0
+    assert float(np.sum(sol.p_star)) == pytest.approx(problem.weight_sum, abs=1e-12)
 
 
 class TestChainSolverAgainstHighs:
@@ -338,8 +337,10 @@ class TestGridSolverAgainstHighs:
     def test_random_problems(self, case):
         problem = random_grid_problem(case)
         assert problem.mode == "grid"
-        # the simplex leaves round-off of order 1e-11 in p*
-        assert_matches_highs(problem, solve_inverse(problem), slack=1e-10)
+        sol = solve_inverse(problem)
+        assert_matches_highs(problem, sol)
+        # p* is on the weight simplex, so it makes a valid system
+        assert IfsSystem(problem.maps, sol.p_star, problem.delta).violations() == []
 
 
 class TestConvexity:

@@ -1,3 +1,5 @@
+from math import lgamma
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,105 @@ from ifsdist import (
     parse_distribution,
     sample_beta,
 )
+from ifsdist.randstats import _BATCH, _LANES, _beta_quantile_vec, _mix64, _reg_inc_beta
+
+
+# Reference oracles: the continued fraction with per-lane masking and the
+# plain 60-step bisection that the library's quantile must reproduce bit for
+# bit.
+
+
+def reference_beta_cf(a, b, x, max_iter=400, eps=3e-15):
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < tiny, tiny, d)
+    d = 1.0 / d
+    h = d.copy()
+    active = np.ones(x.shape, bool)
+    for m in range(1, max_iter + 1):
+        m2 = 2.0 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d_new = 1.0 + aa * d
+        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
+        c_new = 1.0 + aa / c
+        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
+        d_new = 1.0 / d_new
+        h_mid = h * d_new * c_new
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d2 = 1.0 + aa * d_new
+        d2 = np.where(np.abs(d2) < tiny, tiny, d2)
+        c2 = 1.0 + aa / c_new
+        c2 = np.where(np.abs(c2) < tiny, tiny, c2)
+        d2 = 1.0 / d2
+        delta = d2 * c2
+        h_new = h_mid * delta
+        h = np.where(active, h_new, h)
+        c = np.where(active, c2, c)
+        d = np.where(active, d2, d)
+        active = active & (np.abs(delta - 1.0) >= eps)
+        if not active.any():
+            break
+    return h
+
+
+def reference_reg_inc_beta(alpha, beta, xs):
+    xs = np.asarray(xs, float)
+    if alpha == 1.0 and beta == 1.0:
+        return np.clip(xs, 0.0, 1.0).astype(float)
+    out = np.empty_like(xs)
+    at_zero = xs <= 0.0
+    at_one = xs >= 1.0
+    inner = ~(at_zero | at_one)
+    out[at_zero] = 0.0
+    out[at_one] = 1.0
+    if inner.any():
+        x = xs[inner]
+        direct = x < (alpha + 1.0) / (alpha + beta + 2.0)
+        w = np.where(direct, x, 1.0 - x)
+        aa = np.where(direct, alpha, beta)
+        bb = np.where(direct, beta, alpha)
+        ln_front = (
+            lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
+            + aa * np.log(w) + bb * np.log1p(-w)
+        )
+        val = np.exp(ln_front) * reference_beta_cf(aa, bb, w) / aa
+        out[inner] = np.where(direct, val, 1.0 - val)
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def reference_quantile(alpha, beta, us, steps=60):
+    us = np.asarray(us, float)
+    lo = np.zeros_like(us)
+    hi = np.ones_like(us)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = reference_reg_inc_beta(alpha, beta, mid) < us
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_uniforms(rng, n):
+    """The scalar stream with the redraw rule of sample_beta."""
+    us = np.empty(n)
+    for i in range(n):
+        u = rng.uniform()
+        while not 1e-12 <= u <= 1.0 - 1e-12:
+            u = rng.uniform()
+        us[i] = u
+    return us
+
+
+# Shapes for the bit-identity checks: symmetric, skewed, U-shaped, peaked.
+ORACLE_SHAPES = [
+    (0.1, 0.1), (0.5, 0.5), (50, 50), (200, 3), (1, 1), (2, 2), (3, 3), (5, 3),
+    (3, 5), (0.3, 4), (7, 0.2), (1, 3), (1000, 1000), (0.05, 2),
+]
 
 # Closed-form CDFs for integer parameters, obtained by symbolic integration
 # of the densities; these are the independent oracle for the continued
@@ -69,6 +170,18 @@ class TestBetaCdf:
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="outside"):
             beta_cdf(BetaParams(2, 2), 1.5)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            a, b = np.exp(rng.uniform(np.log(0.1), np.log(1000.0), size=2))
+            # alternately the distribution's bulk and anywhere in (0,1)
+            x = float(rng.beta(a, b)) if trial % 2 else float(rng.uniform())
+            x = min(max(x, 1e-300), 1.0 - 1e-16)
+            with mpmath.workdps(30):
+                want = float(mpmath.betainc(a, b, 0, x, regularized=True))
+            assert beta_cdf(BetaParams(a, b), x) == pytest.approx(want, abs=1e-12)
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -174,3 +287,72 @@ class TestParseDistribution:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_distribution(bad)
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("ab", ORACLE_SHAPES)
+    def test_cdf_bit_identical(self, ab):
+        rng = np.random.default_rng(31)
+        # sizes on both sides of the one-pass and split evaluations, with the
+        # special values 0, 1 and NaN
+        for size in (1, 3, 20, 64, 65, 700, _BATCH + 5):
+            xs = rng.random(size)
+            if size >= 3:
+                xs[:3] = [0.0, 1.0, np.nan]
+            assert np.array_equal(_reg_inc_beta(*ab, xs), reference_reg_inc_beta(*ab, xs),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("ab", ORACLE_SHAPES)
+    def test_quantile_bit_identical(self, ab):
+        ends = np.array([1e-12, 1.0 - 1e-12])
+        params = BetaParams(*ab)
+        assert np.array_equal(_beta_quantile_vec(params, ends), reference_quantile(*ab, ends))
+        # one point, and more points than one block of lanes
+        for n in (1, _LANES + 200):
+            us = SeededRng(n).uniforms(n)
+            assert np.array_equal(_beta_quantile_vec(params, us), reference_quantile(*ab, us))
+
+    @pytest.mark.parametrize("ab", [(2, 2), (0.5, 0.5), (200, 3)])
+    def test_sample_bit_identical(self, ab):
+        for n, seed in ((1, 4), (37, 5), (600, 6)):
+            want = reference_quantile(*ab, reference_uniforms(SeededRng(seed), n))
+            assert np.array_equal(sample_beta(BetaParams(*ab), n, SeededRng(seed)), want)
+
+
+class TestVectorStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+    def test_matches_scalar_stream(self, seed):
+        scalar, vector = SeededRng(seed), SeededRng(seed)
+        want = [scalar.uniform() for _ in range(300)]
+        got = np.concatenate([vector.uniforms(1), vector.uniforms(0), vector.uniforms(299)])
+        assert got.tolist() == want
+        # the state advanced by exactly the draws taken
+        assert vector.next_uint64() == scalar.next_uint64()
+
+    def test_mix64_of_the_state_sequence(self):
+        rng = SeededRng(12345)
+        state = 12345
+        for u in rng.uniforms(5):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            assert u == (_mix64(state) >> 11) * 2.0**-53
+
+    def test_redraws_out_of_range_uniforms(self):
+        class Stream:
+            """Hands out preset uniforms and counts how many were taken."""
+
+            def __init__(self, values):
+                self.values, self.taken = list(values), 0
+
+            def uniforms(self, count):
+                out = np.array(self.values[self.taken:self.taken + count])
+                self.taken += count
+                return out
+
+        lo, hi = 1e-12, 1.0 - 1e-12
+        values = [0.0, 0.3, 5e-13, lo, 0.7, hi, 1.0 - 5e-13, 0.9, 0.2, 0.4]
+        stream = Stream(values)
+        xs = sample_beta(BetaParams(2, 3), 5, stream)
+        kept = np.array([0.3, lo, 0.7, hi, 0.9])
+        assert np.array_equal(xs, reference_quantile(2, 3, kept))
+        # the stream is left just after the fifth accepted draw
+        assert stream.taken == 8

@@ -120,6 +120,10 @@ class TestRunTable:
         threaded = run_table(configs, jobs=4).to_csv_text()
         assert serial == threaded
 
+    def test_jobs_below_one(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_table([cfg(trials=1)], jobs=0)
+
     def test_empty_config_list(self):
         with pytest.raises(ValueError, match="no configurations"):
             run_table([])
