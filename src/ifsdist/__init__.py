@@ -45,11 +45,9 @@ from .inverse import (
     InverseSolution,
     collage_bound,
     collage_distance,
-    convexity_witness,
     solve_inverse,
 )
 from .constructions import (
-    QuantileGrid,
     edf_ifs,
     empirical_quantile,
     quantile_estimator,
@@ -84,8 +82,8 @@ __all__ = [
     "fixed_point", "perturbation_bound", "default_mesh",
     "system_to_json", "system_from_json", "read_system_json", "write_system_json",
     "CollageProblem", "InverseSolution", "collage_distance", "solve_inverse",
-    "collage_bound", "convexity_witness",
-    "QuantileGrid", "edf_ifs", "quantile_ifs", "quantile_estimator",
+    "collage_bound",
+    "edf_ifs", "quantile_ifs", "quantile_estimator",
     "empirical_quantile",
     "BetaParams", "BetaDF", "SeededRng", "beta_cdf", "beta_quantile",
     "sample_beta", "derive_substream", "parse_distribution",

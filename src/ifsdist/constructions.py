@@ -13,42 +13,17 @@ Three builders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distfn import DistributionFunction, _nonfinite_violation
 from .ifs import AffineMap, IfsSystem
 
 __all__ = [
-    "QuantileGrid",
     "edf_ifs",
     "quantile_ifs",
     "quantile_estimator",
     "empirical_quantile",
 ]
-
-
-@dataclass(frozen=True)
-class QuantileGrid:
-    """Probability levels and the abscissae where a CDF attains them.
-
-    ``abscissae`` includes the augmented endpoints 0 and 1 and must be
-    strictly increasing; ``levels`` are the interior probabilities.
-    """
-
-    levels: tuple
-    abscissae: tuple
-
-    def __post_init__(self):
-        lv = np.asarray(self.levels, float)
-        xs = np.asarray(self.abscissae, float)
-        if np.any(lv <= 0.0) or np.any(lv >= 1.0) or np.any(np.diff(lv) <= 0.0):
-            raise ValueError("levels must be strictly increasing inside (0,1)")
-        if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0.0):
-            raise ValueError("abscissae must be strictly increasing from 0 to 1")
-        if len(xs) != len(lv) + 2:
-            raise ValueError("abscissae must be the levels' points plus both endpoints")
 
 
 def _checked_sample(sample, min_n: int) -> np.ndarray:
@@ -82,14 +57,18 @@ def edf_ifs(sample) -> IfsSystem:
     return IfsSystem(maps, p, delta, identity_partition=True)
 
 
-def _invert_cdf(f: DistributionFunction, level: float, tol: float = 1e-12) -> float:
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+def _invert_cdf(f: DistributionFunction, levels: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Bisection for F(x) = level on [0,1], all levels at once.
+
+    Every lane makes the test F(mid) < level of a scalar bisection, and all
+    brackets halve together, so every lane stops after the same step.
+    """
+    lo, hi = np.zeros(len(levels)), np.ones(len(levels))
+    while np.any(hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        if f.eval(mid) < level:
-            lo = mid
-        else:
-            hi = mid
+        below = f.eval_array(mid) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -105,7 +84,7 @@ def quantile_ifs(f: DistributionFunction, n_points: int) -> IfsSystem:
         raise ValueError("n_points must be >= 1")
     m = n_points
     levels = np.arange(1, m + 1) / (m + 1)
-    xs = np.array([_invert_cdf(f, u) for u in levels])
+    xs = _invert_cdf(f, levels)
     cuts = np.concatenate([[0.0], xs, [1.0]])
     if np.any(np.diff(cuts) <= 0.0):
         raise ValueError(

@@ -15,13 +15,18 @@ finite evaluation set:
   (:func:`ifsdist.ifs._pullback`), so each row is T_p F - F as ``apply``
   evaluates it, on either side of a jump, up to summation round-off.
 
-Minimizing max_m |A_m p + b_m| over C is the linear program
-min t s.t. -t <= A_m p + b_m <= t, p in C.  Exact mode solves it with a
-linear-time chain solver: in the cumulative weights P_i = sum_{j<i} p_j the
-two rows of cell i involve only P_i and P_{i+1}, so for a fixed t one
-forward pass of interval propagation decides feasibility, bisection on t
-finds the optimum and a backward pass recovers p*.  Grid mode solves it
-with a self-contained dense two-phase simplex inside an active-set loop.
+In both modes a row whose point lies in cell i reads
+(1 - w) P_i + w P_{i+1} - c, with P_i = sum_{j<i} p_j the cumulative weights,
+w = F at the point's preimage and c = F at the point minus sum_{j<i} delta_j.
+A problem stores its rows as the three arrays (cell, w, c).
+
+Minimizing max |row| over C is the linear program min t s.t. |row| <= t,
+p in C, and one chain solver serves both modes.  A row involves only
+P_i and P_{i+1}, so for a fixed t one forward pass carries the interval of
+feasible P_i from cell to cell, bisection on t finds the least feasible t
+and a backward pass recovers p*.  Each cell's step projects the polygon its
+rows cut out of the (P_i, P_{i+1}) plane onto P_{i+1}; only the rows on the
+convex hull of the cell's points (w, c) can bound it.
 """
 
 from __future__ import annotations
@@ -39,17 +44,15 @@ __all__ = [
     "collage_distance",
     "solve_inverse",
     "collage_bound",
-    "convexity_witness",
 ]
 
 
 class LpError(ValueError):
-    """A collage LP the solver could not finish.
+    """A collage LP the chain solver could not finish.
 
-    The grid-mode simplex raises it when its active-set loop does not close
-    or a tableau turns infeasible or unbounded under round-off; the chain
-    solver raises it if its forward pass rejects a t known to be feasible.
-    It is a ValueError, so the CLI reports it and exits 1.
+    Raised if a forward pass rejects the upper end of the bisection bracket,
+    a t at which a known weight vector is feasible.  It is a ValueError, so
+    the CLI reports it and exits 1.
     """
 
 
@@ -57,8 +60,8 @@ class CollageProblem:
     """Inverse problem: fixed target F, maps and offsets; free weights p.
 
     ``mode`` is auto-selected: "exact" for identity partitions (endpoint
-    reduction, exact sup), "grid" otherwise.  The constraint rows (A, b)
-    with D(p) = max |A p + b| are assembled once at construction.
+    reduction, exact sup), "grid" otherwise.  The constraint rows, with
+    D(p) = max |row(p)|, are assembled once at construction.
     """
 
     def __init__(self, target: DistributionFunction, maps, delta,
@@ -90,11 +93,19 @@ class CollageProblem:
     # -- constraint assembly ------------------------------------------------
 
     def _assemble(self) -> None:
-        cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
+        target = self.target
         if self.mode == "exact":
-            self._assemble_exact(cum_delta)
+            # row 2i is T_p F - F at a_i, row 2i+1 its left limit at b_i,
+            # with w = f = F(a_i), F(b_i-)
+            k = self.k
+            w = np.empty(2 * k)
+            w[0::2] = target.eval_array(np.array([m.a for m in self.maps]))
+            w[1::2] = target.eval_left_array(np.array([m.b for m in self.maps]))
+            self._start_values = w[0::2]
+            spots = [spot for m in self.maps for spot in ((m.a, False), (m.b, True))]
+            self._set_rows(np.repeat(np.arange(k), 2), w, w, spots)
             return
-        target, table = self.target, _MapTable(self.maps)
+        table = _MapTable(self.maps)
         pts = [np.linspace(0.0, 1.0, self.grid_size), table._starts, table._ends]
         bps = np.asarray(target.breakpoints(), float)
         if bps.size:
@@ -111,39 +122,24 @@ class CollageProblem:
         cell_l, pulled_l = _pullback(table, xl, left=True)
         cell = np.concatenate([cell_r, cell_l])
         w = np.concatenate([target.eval_array(pulled_r), target.eval_left_array(pulled_l)])
-        f = np.concatenate([target.eval_array(xs), target.eval_left_array(xl)])
+        f_right = target.eval_array(xs)
+        f = np.concatenate([f_right, target.eval_left_array(xl)])
+        self._start_values = f_right[np.searchsorted(xs, table._starts)]
         spot_x = np.concatenate([xs, xl])
         is_left = np.arange(len(cell)) >= len(xs)
         order = np.lexsort((is_left, spot_x))
-        self._set_rows(cell[order], w[order], f[order], cum_delta,
+        self._set_rows(cell[order], w[order], f[order],
                        zip(spot_x[order].tolist(), is_left[order].tolist()))
 
-    def _assemble_exact(self, cum_delta: np.ndarray) -> None:
-        """Rows at a_i and b_i- of every cell from one evaluation of F at each.
-
-        Row 2i is T_p F - F at a_i, row 2i+1 its left limit at b_i:
-        sum_{j<i} p_j + p_i w + sum_{j<i} delta_j - w with w = F(a_i), F(b_i-).
-        """
-        k = self.k
-        a = np.array([m.a for m in self.maps])
-        b = np.array([m.b for m in self.maps])
-        w = np.empty(2 * k)
-        w[0::2] = self.target.eval_array(a)
-        w[1::2] = self.target.eval_left_array(b)
+    def _set_rows(self, cell: np.ndarray, w: np.ndarray, f: np.ndarray, spots) -> None:
+        """Row m reads (1 - w) P_i + w P_{i+1} - c with i = cell[m], w = F at
+        the preimage and c = f - sum_{j<i} delta_j, f = F at the row's point."""
         if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
-            raise ValueError("target values at the partition cuts must lie in [0,1]")
-        spots = [spot for m in self.maps for spot in ((m.a, False), (m.b, True))]
-        self._set_rows(np.repeat(np.arange(k), 2), w, w, cum_delta, spots)
-
-    def _set_rows(self, cell: np.ndarray, w: np.ndarray, f: np.ndarray,
-                  cum_delta: np.ndarray, spots) -> None:
-        """Row m reads T_p F - F = sum_{j<i} p_j + p_i w + sum_{j<i} delta_j - f
-        with i = cell[m], w = F at the preimage and f = F at the row's point."""
-        self._A = (np.arange(self.k) < cell[:, None]).astype(float)
-        self._A[np.arange(len(cell)), cell] = w
-        self._b = cum_delta[cell] - f
-        self._A.flags.writeable = False
-        self._b.flags.writeable = False
+            raise ValueError("target values must lie in [0,1]")
+        cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
+        self._cell, self._w, self._c = cell, w, f - cum_delta[cell]
+        for arr in (self._cell, self._w, self._c):
+            arr.flags.writeable = False
         self.eval_spots = tuple(spots)  # (x, is_left_limit) per constraint row
 
     def residuals(self, p) -> np.ndarray:
@@ -151,10 +147,11 @@ class CollageProblem:
         p = np.asarray(p, float)
         if p.shape != (self.k,):
             raise ValueError(f"expected weight vector of length {self.k}, got shape {p.shape}")
-        return self._A @ p + self._b
+        cum = np.concatenate([[0.0], np.cumsum(p)])
+        return cum[self._cell] + self._w * p[self._cell] - self._c
 
     def __repr__(self) -> str:
-        return f"CollageProblem(k={self.k}, mode={self.mode!r}, rows={len(self._b)})"
+        return f"CollageProblem(k={self.k}, mode={self.mode!r}, rows={len(self._c)})"
 
 
 def collage_distance(problem: CollageProblem, p) -> float:
@@ -163,17 +160,6 @@ def collage_distance(problem: CollageProblem, p) -> float:
     Defined for any real weight vector, not only points of C; D is convex.
     """
     return float(np.max(np.abs(problem.residuals(p))))
-
-
-def convexity_witness(problem: CollageProblem, p1, p2, lam: float):
-    """(D(lam*p1 + (1-lam)*p2), lam*D(p1) + (1-lam)*D(p2)) for property checks."""
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
-    if p1.shape != p2.shape:
-        raise ValueError("weight vectors must have equal length")
-    lhs = collage_distance(problem, lam * p1 + (1.0 - lam) * p2)
-    rhs = lam * collage_distance(problem, p1) + (1.0 - lam) * collage_distance(problem, p2)
-    return lhs, rhs
 
 
 def collage_bound(epsilon: float, c: float) -> float:
@@ -203,143 +189,244 @@ class InverseSolution:
         }
 
 
-def solve_inverse(problem: CollageProblem, tol: float = 1e-9) -> InverseSolution:
-    """Minimize D over C as the LP  min t : |A p + b| <= t, p in C.
+def solve_inverse(problem: CollageProblem) -> InverseSolution:
+    """Minimize D over C as the LP  min t : |row(p)| <= t, p in C.
 
-    Exact mode uses the chain solver (forward passes of interval propagation,
-    bisection on t to within 1e-13); ``iterations`` counts its forward passes.
-    Grid mode uses the active-set simplex; ``iterations`` counts its pivots,
-    and the simplex's p* is clipped at 0 and rescaled onto the weight simplex.
-    Either way D(p*) is the true constrained minimum of the assembled rows up
-    to floating-point round-off.  ``tol`` must be positive and is otherwise
-    unused.
+    Both modes use the chain solver: forward passes of interval propagation
+    in the cumulative weights, bisection on t to within 1e-13, and a backward
+    pass for p*.  ``iterations`` counts the forward passes.  p* is >= 0 and
+    sums to ``weight_sum`` up to round-off, and D(p*) is the constrained
+    minimum of the assembled rows up to floating-point round-off.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if problem.mode == "exact":
-        p, iterations = _solve_chain(problem._A, problem._b, problem.weight_sum)
-    else:
-        p, _, iterations = _solve_minimax_lp(problem._A, problem._b, problem.weight_sum)
-        # the simplex leaves p* up to ~1e-11 off the weight simplex
-        p = np.maximum(p, 0.0)
-        p *= problem.weight_sum / p.sum()
-    d_star = collage_distance(problem, p)
+    p, iterations = _solve_chain(problem)
     res = np.abs(problem.residuals(p))
-    active = np.nonzero(res >= d_star - 1e-8)[0]
+    d_star = float(np.max(res))
     return InverseSolution(
         p_star=p,
         d_star=d_star,
         iterations=iterations,
         mode=problem.mode,
-        active_constraints=list(active),
+        active_constraints=list(np.nonzero(res >= d_star - 1e-8)[0]),
     )
 
 
 # ---------------------------------------------------------------------------
-# chain solver for identity partitions
+# chain solver
 
 # Bisection on t stops once the bracket is this narrow.
 _CHAIN_TOL = 1e-13
 
+_INF = float("inf")
 
-def _solve_chain(a_mat: np.ndarray, b_vec: np.ndarray, weight_sum: float):
-    """min t s.t. |A p + b| <= t, p >= 0, sum p = weight_sum, for exact-mode rows.
 
-    Rows 2i and 2i+1 belong to cell i and read P_i + w p_i - c with
-    P_i = sum_{j<i} p_j, w = A[row, i] in [0,1] and c = -b[row].  For a fixed
-    t, :func:`_chain_pass` carries the interval of feasible P_i from cell to
-    cell; bisection finds the least feasible t, and :func:`_chain_weights`
-    walks back through the stored intervals to a feasible p.
-    Returns (p, number of forward passes).
+def _solve_chain(problem: CollageProblem):
+    """min t s.t. |row(p)| <= t, p >= 0, sum p = weight_sum.
+
+    For a fixed t, :func:`_chain_pass` carries the interval of feasible P_i
+    from cell to cell; bisection finds the least feasible t, and
+    :func:`_chain_weights` walks back through the stored intervals to a
+    feasible p.  Returns (p, number of forward passes).
     """
-    k = a_mat.shape[1]
-    # w of rows 2i and 2i+1 as row i; round-off may leave it a few ulps outside [0,1]
-    w = np.clip(a_mat[np.arange(2 * k), np.repeat(np.arange(k), 2)], 0.0, 1.0).reshape(k, 2)
-    c = -b_vec.reshape(k, 2)
+    total = problem.weight_sum
+    cells, t_floor = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
+                                  problem._c, problem.k)
 
-    # upper end of the bracket: D at the weights F(a_{i+1}) - F(a_i)
-    guess = np.maximum(np.diff(np.append(w[:, 0], 1.0)), 0.0)  # sums to at least 1 - F(0) = 1
-    guess *= weight_sum / guess.sum()
+    # upper end of the bracket: D at the weights F(end_i) - F(start_i) of
+    # each map's image, which sum to at least 1 - F(0)
+    guess = np.maximum(np.diff(np.append(problem._start_values, 1.0)), 0.0)
+    guess *= total / guess.sum()
     # D(guess) is feasible; the margin keeps round-off from rejecting it
-    t_hi = float(np.max(np.abs(a_mat @ guess + b_vec))) * (1.0 + 1e-9) + 1e-15
-
-    # the two rows of a cell are interchangeable: order them by w
-    order = np.argsort(w, axis=1, kind="stable")
-    (w1, w2), (c1, c2) = np.take_along_axis(w, order, axis=1).T, np.take_along_axis(c, order, axis=1).T
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / np.stack([w1, w2, w2 - w1])
-    cells = list(zip(*(v.tolist() for v in (w1, w2, c1, c2, *inv, 1.0 - w1, 1.0 - w2, c2 - c1))))
-    if not _chain_pass(cells, weight_sum, t_hi):
+    t_hi = float(np.max(np.abs(problem.residuals(guess)))) * (1.0 + 1e-9) + 1e-15
+    if not _chain_pass(cells, total, t_hi):
         raise LpError(f"chain solver rejected the feasible bound t = {t_hi}")
     passes = 1
-    t_lo = 0.0
+    t_lo = t_floor  # no t below it is feasible
     while t_hi - t_lo > _CHAIN_TOL:
         t = 0.5 * (t_lo + t_hi)
         passes += 1
-        if _chain_pass(cells, weight_sum, t):
+        if _chain_pass(cells, total, t):
             t_hi = t
         else:
             t_lo = t
     lows, highs = [], []
     passes += 1
-    _chain_pass(cells, weight_sum, t_hi, lows, highs)
-    return _chain_weights(cells, weight_sum, t_hi, lows, highs), passes
+    _chain_pass(cells, total, t_hi, lows, highs)
+    return _chain_weights(cells, total, t_hi, lows, highs), passes
+
+
+def _chain_cells(cell: np.ndarray, w: np.ndarray, c: np.ndarray, k: int):
+    """Per-cell bounds of the forward pass, and a floor on t.
+
+    Cell i's rows, with x = P_i and y = P_{i+1}, ask
+    c - t <= (1 - w) x + w y <= c + t.  Eliminating x between them and
+    lo <= x <= min(hi, y) (Fourier-Motzkin) leaves bounds on y of the forms
+
+        y <= (cl + t - q lo) r,    y >= (cu - t - q hi) r,    y >= top - t,
+
+    with q = 1 - w and r = 1/w for a single row, and constraints on t alone.
+    Only the lower convex hull of the cell's points (w, c) can bound x from
+    above and only the upper hull from below; with p_i = y - x >= 0 only the
+    hull parts of non-negative slope matter.  The bounds are then: each
+    lower-hull row with lo, each upper-hull row with hi, the topmost row
+    with y >= x, and each upper/lower row pair that is active together
+    somewhere along p_i >= 0.  A pair with equal w bounds t alone.  A cell
+    is (top, terms): its terms are tuples (cl, cu, q, r), a lower and an
+    upper bound that share q and r, with +-inf for an absent side.
+    """
+    order = np.lexsort((c, w, cell))
+    cell, w, c = cell[order], w[order], c[order]
+    bounds = np.searchsorted(cell, np.arange(k + 1))
+    two = np.diff(bounds) == 2
+    first = bounds[:-1][two]
+    cells, t_floor = [(-_INF, ())] * k, 0.0
+    if first.size:
+        two_cells, t_floor = _two_row_cells(w[first], c[first], w[first + 1], c[first + 1])
+        for i, two_cell in zip(np.flatnonzero(two).tolist(), two_cells):
+            cells[i] = two_cell
+    ws, cs, bounds = w.tolist(), c.tolist(), bounds.tolist()
+    for i in np.flatnonzero(~two).tolist():
+        cells[i], floor = _hull_cell(ws[bounds[i]:bounds[i + 1]], cs[bounds[i]:bounds[i + 1]])
+        t_floor = max(t_floor, floor)
+    return cells, t_floor
+
+
+def _hull_cell(ws, cs):
+    """One cell (top, terms) and its t floor from its rows sorted by (w, c)."""
+    lower, upper = _hulls(ws, cs)
+    terms, t_floor = {}, 0.0
+
+    def add(q, r, cl=_INF, cu=-_INF):
+        slot = terms.setdefault((q, r), [_INF, -_INF])
+        slot[0], slot[1] = min(slot[0], cl), max(slot[1], cu)
+
+    for wj, cj in lower:   # y <= (c + t - (1 - w) lo) / w
+        add(1.0 - wj, 1.0 / wj if wj > 0.0 else _INF, cl=cj)
+    for wj, cj in upper:   # y >= (c - t - (1 - w) hi) / w
+        add(1.0 - wj, 1.0 / wj if wj > 0.0 else _INF, cu=cj)
+    for (wm, cm), (wn, cn) in _active_pairs(lower, upper):
+        # (1 - wn) * (row m >= cm - t) against (1 - wm) * (row n <= cn + t):
+        # (wn - wm) y <= (1 - wm)(cn + t) - (1 - wn)(cm - t)
+        a, b, dw = (1.0 - wm) * cn - (1.0 - wn) * cm, 2.0 - (wm + wn), wn - wm
+        if dw > 0.0:
+            add(0.0, b / dw, cl=a / b)
+        elif dw < 0.0:
+            add(0.0, b / -dw, cu=-a / b)
+        else:
+            t_floor = max(t_floor, 0.5 * (cm - cn))
+    top = upper[-1][1] if upper else -_INF
+    return (top, tuple((cl, cu, q, r) for (q, r), (cl, cu) in terms.items())), t_floor
+
+
+def _two_row_cells(w1, c1, w2, c2):
+    """:func:`_hull_cell` of many cells of two rows each, (w1, c1) <= (w2, c2).
+
+    With w1 < w2 both points are on both hulls; if c1 < c2 both stay when
+    the hulls are cut, and the pairs (2, 1) and (1, 2) give a lower and an
+    upper bound on y that share q = 0 and r.  If c1 >= c2, only point 2 is
+    kept on the lower hull, point 1 on the upper one, and only the pair
+    (1, 2) is left.  With w1 = w2 one point bounds each side, and their pair
+    bounds t alone.  Returns the cells and the t floor.
+    """
+    same, rising = w1 == w2, c1 < c2
+    both = rising & ~same
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r1, r2, b = 1.0 / w1, 1.0 / w2, 2.0 - (w1 + w2)
+        pair_c = ((1.0 - w1) * c2 - (1.0 - w2) * c1) / b
+        pair_r = b / (w2 - w1)
+    inf = np.full(len(w1), _INF)
+    slots = [
+        (np.where(rising | same, c1, inf), np.where(same, c2, c1), 1.0 - w1, r1),
+        (c2, np.where(both, c2, -inf), 1.0 - w2, r2),
+        (pair_c, np.where(both, pair_c, -inf), np.zeros(len(w1)), pair_r),
+    ]
+    rows = zip(*[zip(*(v.tolist() for v in slot)) for slot in slots])
+    terms = [row[:1] if s else row for row, s in zip(rows, same.tolist())]
+    t_floor = float(np.max(np.where(same, 0.5 * (c2 - c1), 0.0)))
+    return list(zip(np.maximum(c1, c2).tolist(), terms)), t_floor
+
+
+def _hulls(ws, cs):
+    """Lower and upper convex hull of points sorted by (w, c), cut to their
+    parts of non-negative slope: the lower hull from its last lowest vertex
+    on, the upper hull up to its first highest vertex.  Andrew's monotone
+    chain; returns two lists of (w, c) ordered by w."""
+    lower, upper = [], []
+    for wj, cj in zip(ws, cs):
+        if lower and lower[-1][0] == wj:  # equal w: lower keeps the least c, upper the greatest
+            upper.pop()
+        else:
+            while len(lower) >= 2 and _turn(lower[-2], lower[-1], wj, cj) <= 0.0:
+                lower.pop()
+            lower.append((wj, cj))
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], wj, cj) >= 0.0:
+            upper.pop()
+        upper.append((wj, cj))
+    if lower:
+        lowest = min(c for _, c in lower)
+        lower = lower[max(j for j, (_, c) in enumerate(lower) if c == lowest):]
+        highest = max(c for _, c in upper)
+        upper = upper[:min(j for j, (_, c) in enumerate(upper) if c == highest) + 1]
+    return lower, upper
+
+
+def _turn(o, a, wb, cb) -> float:
+    """Cross product (a - o) x (b - o): positive for a left turn."""
+    return (a[0] - o[0]) * (cb - o[1]) - (a[1] - o[1]) * (wb - o[0])
+
+
+def _active_pairs(lower, upper):
+    """(upper row, lower row) pairs that attain max_m (c_m - w_m d) and
+    min_n (c_n - w_n d) together for some d = p_i >= 0.
+
+    As d grows from 0 the upper maximizer walks from the topmost vertex to
+    the leftmost one and the lower minimizer from the lowest vertex to the
+    rightmost one, each switching at the slope of the edge it leaves.
+    """
+    if not lower:
+        return []
+    iu, il = len(upper) - 1, 0
+    pairs = [(upper[iu], lower[il])]
+    while iu > 0 or il < len(lower) - 1:
+        du = _slope(upper[iu - 1], upper[iu]) if iu > 0 else _INF
+        dl = _slope(lower[il], lower[il + 1]) if il < len(lower) - 1 else _INF
+        if du <= dl:
+            iu -= 1
+        if dl <= du:
+            il += 1
+        pairs.append((upper[iu], lower[il]))
+    return pairs
+
+
+def _slope(a, b) -> float:
+    return (b[1] - a[1]) / (b[0] - a[0])
 
 
 def _chain_pass(cells, total: float, t: float, lows=None, highs=None) -> bool:
     """Forward pass: is max |row| <= t feasible?
 
-    With x = P_i in [lo, hi] and p = p_i >= 0, cell i asks
-    |x + w p - c| <= t for both of its rows and P_{i+1} = x + p <= total.
-    Eliminating x leaves an interval [p_lo, p_hi] of p, and P_{i+1} ranges
-    over [y_lo, y_hi], reached at p_lo and p_hi because both ends are
-    non-decreasing in p.  Reciprocals of zero are inf; inf * 0 = nan drops
-    out of the comparisons, which is right for a constraint 0 p <= 0.
-    When ``lows``/``highs`` are given they receive the interval of every P_i.
+    With P_i in [lo, hi], cell i bounds P_{i+1} = y to
+    [max(lo, top - t, (cu - t - q hi) r), min(total, (cl + t - q lo) r)].
+    A reciprocal r of zero weight is inf: the term is then +-inf, vacuous
+    when the row's bound on x can be met and infeasible when it cannot, and
+    inf * 0 = nan drops out of the comparisons, which is right for a bound
+    met with equality; so does the nan of an absent side.  When
+    ``lows``/``highs`` are given they receive the interval of every P_i.
     """
     lo = hi = 0.0
-    two_t = 2.0 * t
-    for w1, w2, c1, c2, r1, r2, rd, q1, q2, cd in cells:
+    for top, terms in cells:
         if lows is not None:
             lows.append(lo)
             highs.append(hi)
-        p_lo, p_hi = 0.0, total - lo
-        v = (c1 + t - lo) * r1          # w1 p <= c1 + t - lo
-        if v < p_hi:
-            p_hi = v
-        v = (c2 + t - lo) * r2          # w2 p <= c2 + t - lo
-        if v < p_hi:
-            p_hi = v
-        v = (cd + two_t) * rd           # (w2 - w1) p <= c2 - c1 + 2t
-        if v < p_hi:
-            p_hi = v
-        v = (c1 - t - hi) * r1          # w1 p >= c1 - t - hi
-        if v > p_lo:
-            p_lo = v
-        v = (c2 - t - hi) * r2          # w2 p >= c2 - t - hi
-        if v > p_lo:
-            p_lo = v
-        v = (cd - two_t) * rd           # (w2 - w1) p >= c2 - c1 - 2t
-        if v > p_lo:
-            p_lo = v
-        if p_lo > p_hi:
-            return False
-        y_lo = lo + p_lo
-        v = c1 - t + q1 * p_lo
-        if v > y_lo:
-            y_lo = v
-        v = c2 - t + q2 * p_lo
-        if v > y_lo:
-            y_lo = v
-        y_hi = hi + p_hi
-        v = c1 + t + q1 * p_hi
-        if v < y_hi:
-            y_hi = v
-        v = c2 + t + q2 * p_hi
-        if v < y_hi:
-            y_hi = v
-        if total < y_hi:
-            y_hi = total
+        y_lo, y_hi = top - t, total
+        if y_lo < lo:
+            y_lo = lo
+        for cl, cu, q, r in terms:
+            v = (cl + t - q * lo) * r
+            if v < y_hi:
+                y_hi = v
+            v = (cu - t - q * hi) * r
+            if v > y_lo:
+                y_lo = v
         if y_lo > y_hi:
             return False
         lo, hi = y_lo, y_hi
@@ -348,155 +435,20 @@ def _chain_pass(cells, total: float, t: float, lows=None, highs=None) -> bool:
 
 def _chain_weights(cells, total: float, t: float, lows, highs) -> np.ndarray:
     """Backward pass: from P_k = total, pick each P_i in the middle of the
-    values that its stored interval, P_i <= P_{i+1} and cell i's rows allow."""
+    values that its stored interval, P_i <= P_{i+1} and cell i's hull rows
+    allow.  A term with q = 1 - w > 0 is a hull row:
+    c - t <= q x + (1 - q) y <= c + t."""
     k = len(cells)
     cum = np.empty(k + 1)
     cum[0], cum[k] = 0.0, total
     y = total
     for i in range(k - 1, 0, -1):
-        w1, w2, c1, c2, _, _, _, q1, q2, _ = cells[i]
         x_lo, x_hi = lows[i], min(highs[i], y)
-        for w, c, q in ((w1, c1, q1), (w2, c2, q2)):
-            if q > 0.0:  # (1 - w) x + w y within c +- t
-                x_lo = max(x_lo, (c - t - w * y) / q)
-                x_hi = min(x_hi, (c + t - w * y) / q)
+        for cl, cu, q, _ in cells[i][1]:
+            if q > 0.0:
+                rest = (1.0 - q) * y
+                x_hi = min(x_hi, (cl + t - rest) / q)
+                x_lo = max(x_lo, (cu - t - rest) / q)
         y = min(max(0.5 * (x_lo + x_hi), 0.0), y)
         cum[i] = y
     return np.diff(cum)
-
-
-# ---------------------------------------------------------------------------
-# dense two-phase simplex for the minimax LP
-
-
-def _solve_minimax_lp(a_mat: np.ndarray, b_vec: np.ndarray, weight_sum: float):
-    """min t s.t. -t <= A p + b <= t, p >= 0, sum p = weight_sum.
-
-    Solved by an active-set outer loop: the LP is solved on a working subset
-    of rows and rows violating the current optimum are pulled in until none
-    remain.  A minimax optimum has few active rows, so the inner dense
-    simplex stays small even for thousands of sampled constraints.
-    Returns (p, t, total pivot count).
-    """
-    m = len(b_vec)
-    working = np.unique(np.concatenate([
-        np.argsort(np.abs(b_vec))[-16:],
-        np.linspace(0, m - 1, min(m, 64)).astype(int),
-    ]))
-    pivots = 0
-    for _ in range(200):
-        p, t, piv = _minimax_lp_once(a_mat[working], b_vec[working], weight_sum)
-        pivots += piv
-        res = np.abs(a_mat @ p + b_vec)
-        violated = np.nonzero(res > t + 1e-11)[0]
-        if violated.size == 0:
-            return p, t, pivots
-        worst = violated[np.argsort(res[violated])[-32:]]
-        working = np.unique(np.concatenate([working, worst]))
-    raise LpError("active-set loop failed to close")
-
-
-def _minimax_lp_once(a_mat: np.ndarray, b_vec: np.ndarray, weight_sum: float):
-    """Two-phase dense simplex on the full row set given.
-
-    Bland's rule prevents cycling on the (heavily degenerate) minimax
-    constraints; artificial variables are introduced only for rows whose
-    slack cannot serve as the initial basis.
-    """
-    m, k = a_mat.shape
-    nvar = k + 1 + 2 * m  # p, t, slacks
-    rows = 2 * m + 1
-    tab = np.zeros((rows, nvar + 1))
-    # A p - t + s = -b   and   -A p - t + s' = b
-    tab[:m, :k] = a_mat
-    tab[m:2 * m, :k] = -a_mat
-    tab[:2 * m, k] = -1.0
-    slack_col = np.concatenate([np.arange(k + 1, k + 1 + 2 * m), [-1]])
-    tab[np.arange(2 * m), slack_col[:-1]] = 1.0
-    tab[:m, -1] = -b_vec
-    tab[m:2 * m, -1] = b_vec
-    tab[2 * m, :k] = 1.0
-    tab[2 * m, -1] = weight_sum
-
-    neg = tab[:, -1] < 0.0
-    tab[neg] *= -1.0
-
-    # phase 1: slack columns still holding +1 serve as basis, the rest
-    # (sign-flipped rows and the equality row) get artificials
-    basis = np.empty(rows, dtype=int)
-    needs_artificial = []
-    for r in range(rows):
-        sc = slack_col[r]
-        if sc >= 0 and tab[r, sc] == 1.0:
-            basis[r] = sc
-        else:
-            needs_artificial.append(r)
-    n_art = len(needs_artificial)
-    art_block = np.zeros((rows, n_art))
-    for j, r in enumerate(needs_artificial):
-        art_block[r, j] = 1.0
-        basis[r] = nvar + j
-    tab = np.hstack([tab[:, :nvar], art_block, tab[:, -1:]])
-    cost1 = np.zeros(nvar + n_art)
-    cost1[nvar:] = 1.0
-    piv1 = _simplex_core(tab, basis, cost1)
-    if cost1[basis] @ tab[:, -1] > 1e-7:
-        raise LpError("phase-1 optimum is positive: LP infeasible")
-    _expel_artificials(tab, basis, nvar)
-
-    # phase 2 on the original variables only
-    keep_rows = basis < nvar
-    tab = tab[keep_rows][:, list(range(nvar)) + [-1]]
-    basis = basis[keep_rows]
-    cost2 = np.zeros(nvar)
-    cost2[k] = 1.0
-    piv2 = _simplex_core(tab, basis, cost2)
-
-    x = np.zeros(nvar)
-    x[basis] = tab[:, -1]
-    return x[:k], float(x[k]), piv1 + piv2
-
-
-def _simplex_core(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  maxiter: int = 200_000) -> int:
-    rows, cols = tab.shape
-    n = cols - 1
-    for it in range(maxiter):
-        reduced = cost[:n] - cost[basis] @ tab[:, :n]
-        candidates = np.nonzero(reduced < -1e-9)[0]
-        if candidates.size == 0:
-            return it
-        j = int(candidates[0])  # Bland: smallest entering index
-        col = tab[:, j]
-        positive = col > 1e-9
-        if not positive.any():
-            raise LpError("unbounded LP")
-        ratios = np.full(rows, np.inf)
-        ratios[positive] = tab[positive, -1] / col[positive]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12)[0]
-        r = int(ties[np.argmin(basis[ties])])  # Bland: smallest leaving variable
-        pivot = tab[r, j]
-        tab[r] /= pivot
-        colv = tab[:, j].copy()
-        colv[r] = 0.0
-        tab -= np.outer(colv, tab[r])
-        basis[r] = j
-    raise LpError("simplex iteration limit exceeded")
-
-
-def _expel_artificials(tab: np.ndarray, basis: np.ndarray, nvar: int) -> None:
-    """Pivot zero-level artificial variables out of the basis where possible."""
-    for r in range(len(basis)):
-        if basis[r] < nvar:
-            continue
-        swap = np.nonzero(np.abs(tab[r, :nvar]) > 1e-9)[0]
-        if swap.size == 0:
-            continue  # redundant row, dropped by the caller
-        j = int(swap[0])
-        pivot = tab[r, j]
-        tab[r] /= pivot
-        colv = tab[:, j].copy()
-        colv[r] = 0.0
-        tab -= np.outer(colv, tab[r])
-        basis[r] = j

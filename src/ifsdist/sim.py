@@ -81,19 +81,14 @@ def _points_max(f: DistributionFunction, g: DistributionFunction, pts: np.ndarra
     return float(np.max(np.abs(f.eval_array(pts) - g.eval_array(pts))))
 
 
-def run_trial(config: TrialConfig, trial_index: int,
-              estimator_override: DistributionFunction | None = None) -> TrialResult:
-    """One seeded trial; ``estimator_override`` substitutes a known function
-    for the estimator (diagnostic hook, e.g. the target itself)."""
+def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
+    """One seeded trial: sample, estimator, and both sup-norm distances."""
     config.check()
     target = BetaDF(config.distribution)
     rng = SeededRng(derive_substream(config.seed, trial_index))
     sample = sample_beta(config.distribution, config.n, rng)
-    if estimator_override is None:
-        system = quantile_estimator(sample, config.resolved_k())
-        estimator = iterate_exact(system, UniformDF(), config.iters)
-    else:
-        estimator = estimator_override
+    system = quantile_estimator(sample, config.resolved_k())
+    estimator = iterate_exact(system, UniformDF(), config.iters)
     edf = edf_from_sample(sample)
     if config.exact_sup:
         d_est = sup_distance(estimator, target, grid_size=config.eval_points)

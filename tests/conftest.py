@@ -6,7 +6,7 @@ checks the same cases.
 
 import numpy as np
 
-from ifsdist import AffineMap, GridDF, IfsSystem
+from ifsdist import AffineMap, GridDF, IfsSystem, collage_distance
 
 
 def random_cuts(rng, k):
@@ -80,3 +80,21 @@ def random_linear_df(rng, max_kinks=8):
     grid = np.concatenate([[0.0], bps, [1.0]])
     values = np.concatenate([[0.0], vals, [1.0]])
     return GridDF(grid, values, mode="linear")
+
+
+def convexity_witness(problem, p1, p2, lam):
+    """(D(lam*p1 + (1-lam)*p2), lam*D(p1) + (1-lam)*D(p2)) for convexity checks."""
+    p1 = np.asarray(p1, float)
+    p2 = np.asarray(p2, float)
+    if p1.shape != p2.shape:
+        raise ValueError("weight vectors must have equal length")
+    lhs = collage_distance(problem, lam * p1 + (1.0 - lam) * p2)
+    rhs = lam * collage_distance(problem, p1) + (1.0 - lam) * collage_distance(problem, p2)
+    return lhs, rhs
+
+
+def constraint_rows(problem):
+    """(A, b) with residuals(p) = A p + b, rebuilt from the residuals alone."""
+    b = problem.residuals(np.zeros(problem.k))
+    a = np.column_stack([problem.residuals(e) - b for e in np.eye(problem.k)])
+    return a, b

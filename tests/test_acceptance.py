@@ -21,7 +21,6 @@ from ifsdist import (
     beta_quantile,
     collage_distance,
     contractivity,
-    convexity_witness,
     edf_from_sample,
     edf_ifs,
     fixed_point,
@@ -35,6 +34,7 @@ from ifsdist.cli import cli_main
 from ifsdist.sim import TrialConfig, run_table
 
 from conftest import (
+    convexity_witness,
     random_contractive_system,
     random_cuts,
     random_identity_system,

@@ -98,7 +98,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("seed", [3, 6, 20])
     def test_random_sample_partition_against_beta25(self, seed, tmp_path):
-        # these partitions made the active-set simplex raise LpError
+        # the dense simplex that once solved these LPs raised LpError here
         xs = np.random.default_rng(seed).uniform(0.0, 1.0, 50)
         sample = tmp_path / "cuts.txt"
         sample.write_text("".join(f"{x:.17g}\n" for x in xs))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ifsdist import (
+    BetaDF,
+    BetaParams,
     FuncDF,
-    QuantileGrid,
     UniformDF,
     contractivity,
     edf_from_sample,
@@ -118,6 +119,24 @@ class TestQuantileIfs:
             for s in (1, 2, 4, 9):
                 it = iterate_exact(system, u0, s)
                 assert np.max(np.abs(it.eval_array(xs) - levels)) <= 1e-12
+
+    @pytest.mark.parametrize("target", [BetaDF(BetaParams(2, 5)), BetaDF(BetaParams(0.5, 0.5)),
+                                        BETA22_POLY], ids=["beta25", "beta55", "poly"])
+    def test_cuts_match_scalar_bisection(self, target):
+        # the cuts come from one bisection over all levels; each must be
+        # bit-identical to a scalar bisection on eval with the same stop
+        def scalar_cut(level):
+            lo, hi = 0.0, 1.0
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if target.eval(mid) < level:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        cuts = [m.c for m in quantile_ifs(target, 7).maps[1:]]
+        assert cuts == [scalar_cut(i / 8) for i in range(1, 8)]
 
     def test_rejects_non_invertible_cdf(self):
         # a step function sends several levels to the same abscissa
@@ -235,16 +254,3 @@ class TestEmpiricalQuantile:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty"):
             empirical_quantile([], 0.5)
-
-
-class TestQuantileGrid:
-    def test_accepts_consistent_grid(self):
-        QuantileGrid(levels=(0.25, 0.5, 0.75), abscissae=(0.0, 0.2, 0.5, 0.8, 1.0))
-
-    def test_rejects_disorder(self):
-        with pytest.raises(ValueError, match="levels"):
-            QuantileGrid(levels=(0.5, 0.25), abscissae=(0.0, 0.2, 0.5, 1.0))
-        with pytest.raises(ValueError, match="abscissae"):
-            QuantileGrid(levels=(0.25, 0.5), abscissae=(0.0, 0.5, 0.2, 1.0))
-        with pytest.raises(ValueError, match="endpoints"):
-            QuantileGrid(levels=(0.25, 0.5), abscissae=(0.0, 0.2, 1.0))

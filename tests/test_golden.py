@@ -1,8 +1,12 @@
 """Golden outputs: SHA-256 of seeded results, so that a changed bit in the
-sampling, estimator or simulation code fails here."""
+sampling, estimator or simulation code fails here.  The collage solver's
+answers are pinned by value instead: its bisection may end a few ulps apart
+after a change to its arithmetic, while D* stays put."""
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from ifsdist import BetaParams, SeededRng, sample_beta
@@ -41,3 +45,60 @@ def test_sample_beta_bytes(key):
     a, b, n, seed = key
     xs = sample_beta(BetaParams(a, b), n, SeededRng(seed))
     assert hashlib.sha256(xs.tobytes()).hexdigest() == SAMPLE_SHA256[key]
+
+
+# Every other subcommand, on a fixed 25-point sample (see _sample_file).
+CLI_SHA256 = {
+    "edf-ifs": "2cdfdc624e72bda5b3db7d7a39068da72be1d40fbfc29891fbb69ca8531400f2",
+    "approximate": "81d17248fe131d3c6097e09d3465dc5121d4d938877050577647561996d43fe2",
+    "estimate": "54019fe5efb64d7d1c63531ac54201a18c59587e4a9251bd5b605f788ab5ff63",
+    "simulate-exact-sup": "8e288605f65cea1aedefe5fd6042ba5feae21fd0b39e4d05a2e385af1d28e21a",
+}
+
+CLI_ARGV = {
+    "edf-ifs": ["edf-ifs", "--sample", "{sample}"],
+    "approximate": ["approximate", "--dist", "beta:2,5", "--points", "19"],
+    "estimate": ["estimate", "--sample", "{sample}", "--k", "8"],
+    "simulate-exact-sup": ["simulate", "--dist", "beta:2,2", "--n", "10,50,100,500,1000",
+                           "--trials", "3", "--seed", "0", "--exact-sup"],
+}
+
+# invert --target beta:2,5: D* of the collage minimum on each partition
+INVERT_D_STAR = {
+    "auto:8": 0.1231977740875539,
+    "sample60": 0.0551801902924568,
+}
+
+
+def _sample_file(tmp_path):
+    """25 points of the golden-ratio sequence i*phi mod 1, written at full precision."""
+    path = tmp_path / "sample.txt"
+    path.write_text("".join(f"{(i * 0.6180339887498949) % 1.0:.17g}\n" for i in range(1, 26)))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_output(name, tmp_path):
+    sample = str(_sample_file(tmp_path))
+    out = tmp_path / "out"
+    argv = [arg.format(sample=sample) for arg in CLI_ARGV[name]]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(INVERT_D_STAR))
+def test_invert_d_star(name, tmp_path):
+    if name == "sample60":
+        part = tmp_path / "partition.txt"
+        np.savetxt(part, np.random.default_rng(2001).uniform(0.0, 1.0, 60), fmt="%.17g")
+        spec = f"sample:{part}"
+    else:
+        spec = name
+    out = tmp_path / "report.json"
+    assert cli_main(["invert", "--target", "beta:2,5", "--partition", spec,
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    p = np.array(report["p_star"])
+    assert abs(report["D_star"] - INVERT_D_STAR[name]) <= 1e-12
+    assert np.all(p >= 0.0)
+    assert float(np.sum(p)) == pytest.approx(1.0, abs=1e-12)  # weight_sum with zero offsets

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ifsdist import (
     apply,
     collage_bound,
     collage_distance,
-    convexity_witness,
     edf_from_sample,
     edf_ifs,
     fixed_point,
@@ -21,10 +21,10 @@ from ifsdist import (
     solve_inverse,
     sup_distance,
 )
-from ifsdist.inverse import LpError
+from ifsdist.inverse import _chain_cells, _chain_pass
 
-from conftest import (random_contractive_system, random_cuts, random_identity_system,
-                      random_linear_df, random_step_df)
+from conftest import (constraint_rows, convexity_witness, random_contractive_system,
+                      random_cuts, random_identity_system, random_linear_df, random_step_df)
 
 
 def single_point_problem(x1):
@@ -149,7 +149,8 @@ class TestSolveInverse:
         problem = identity_problem(BetaDF(BetaParams(3, 5)), random_cuts(rng, 5))
         sol = solve_inverse(problem)
         draws = rng.dirichlet(np.ones(5), size=10_000) * problem.weight_sum
-        values = np.max(np.abs(draws @ problem._A.T + problem._b), axis=1)
+        a_mat, b_vec = constraint_rows(problem)
+        values = np.max(np.abs(draws @ a_mat.T + b_vec), axis=1)
         assert sol.d_star <= float(values.min()) + 1e-9
 
     def test_exact_and_grid_modes_agree(self):
@@ -182,14 +183,14 @@ class TestSolveInverse:
         assert data["mode"] == "exact"
         assert data["iterations"] > 0
 
-    def test_grid_mode_counts_pivots_exact_mode_passes(self):
+    def test_iterations_count_forward_passes(self):
         exact = solve_inverse(single_point_problem(0.3))
         maps = [AffineMap.identity(0.0, 0.3), AffineMap.identity(0.3, 1.0)]
         grid = solve_inverse(CollageProblem(UniformDF(), maps, [0.0], mode="grid",
                                             grid_size=16))
         # a forward pass per bisection step: about log2(D / 1e-13) of them
-        assert 30 <= exact.iterations <= 70
-        assert grid.mode == "grid" and grid.iterations > 0
+        assert exact.mode == "exact" and 30 <= exact.iterations <= 70
+        assert grid.mode == "grid" and 30 <= grid.iterations <= 70
 
     def test_subgradient_cross_check(self):
         rng = np.random.default_rng(29)
@@ -214,7 +215,7 @@ def solve_inverse_subgradient(problem: CollageProblem, iterations: int = 100_000
         step_scale = s
     p = np.full(k, s / k)
     best_p, best_d = p.copy(), collage_distance(problem, p)
-    a_mat, b_vec = problem._A, problem._b
+    a_mat, b_vec = constraint_rows(problem)
     for t in range(1, iterations + 1):
         r = a_mat @ p + b_vec
         m = int(np.argmax(np.abs(r)))
@@ -239,8 +240,7 @@ def highs_d_star(problem):
     """min_p max |T_p F - F| over C by HiGHS, rows rebuilt from the residuals."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     k = problem.k
-    b = problem.residuals(np.zeros(k))
-    a = np.column_stack([problem.residuals(np.eye(k)[j]) - b for j in range(k)])
+    a, b = constraint_rows(problem)
     ones = np.ones((len(b), 1))
     res = linprog(
         c=np.r_[np.zeros(k), 1.0],
@@ -320,20 +320,8 @@ def random_grid_problem(case):
     return CollageProblem(target, maps, np.zeros(len(maps) - 1), grid_size=128)
 
 
-# Cases on which the grid-mode simplex raises LpError (ROADMAP item 2): its
-# active-set loop does not close (52, 75, 80) or phase 1 ends positive
-# (1, 29, 77, 89).
-GRID_LP_FAILURES = {1, 29, 52, 75, 77, 80, 89}
-
-
 class TestGridSolverAgainstHighs:
-    @pytest.mark.parametrize("case", [
-        pytest.param(case, marks=pytest.mark.xfail(
-            raises=LpError, strict=True,
-            reason="grid-mode simplex fails on this LP; ROADMAP item 2"))
-        if case in GRID_LP_FAILURES else case
-        for case in range(100)
-    ])
+    @pytest.mark.parametrize("case", range(100))
     def test_random_problems(self, case):
         problem = random_grid_problem(case)
         assert problem.mode == "grid"
@@ -341,6 +329,48 @@ class TestGridSolverAgainstHighs:
         assert_matches_highs(problem, sol)
         # p* is on the weight simplex, so it makes a valid system
         assert IfsSystem(problem.maps, sol.p_star, problem.delta).violations() == []
+
+
+class TestChainCells:
+    """The per-cell bound terms that the forward pass reads."""
+
+    @staticmethod
+    def _intervals(cell, w, c, t):
+        """Feasibility and stored P_i intervals of one forward pass."""
+        cells, t_floor = _chain_cells(np.asarray(cell), np.asarray(w, float),
+                                      np.asarray(c, float), max(cell) + 1)
+        lows, highs = [], []
+        ok = t >= t_floor and _chain_pass(cells, 1.0, t, lows, highs)
+        return ok, lows, highs
+
+    def test_two_row_cells_match_the_hull_construction(self):
+        # a two-row cell takes the closed form; with its first row repeated
+        # it has three rows and goes through the monotone chain
+        rng = np.random.default_rng(47)
+        for trial in range(300):
+            w = rng.uniform(0.0, 1.0, 2)
+            if trial % 3 == 0:
+                w = np.round(w * 2) / 2  # equal w, w = 0 and w = 1
+            c = w - rng.uniform(-0.1, 0.1, 2) if trial % 2 else rng.uniform(-0.2, 1.0, 2)
+            head_w, head_c = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 0.6, 3)
+            two = ([0, 0, 0, 1, 1], np.r_[head_w, w], np.r_[head_c, c])
+            three = ([0, 0, 0, 1, 1, 1], np.r_[head_w, w, w[:1]], np.r_[head_c, c, c[:1]])
+            for t in rng.uniform(0.0, 0.5, 5).tolist():
+                assert self._intervals(*two, t) == self._intervals(*three, t)
+
+    def test_assembly_memory_is_linear_in_cells(self):
+        # dense rows of 6000 x 3000 doubles would take 144 MB
+        k = 3000
+        cuts = np.linspace(0.0, 1.0, k + 1)
+        maps = [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(k)]
+        target = BetaDF(BetaParams(2, 5))
+        tracemalloc.start()
+        try:
+            CollageProblem(target, maps, np.zeros(k - 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestConvexity:

@@ -8,6 +8,7 @@ from ifsdist import (
     run_table,
     run_trial,
 )
+from ifsdist import sim
 from ifsdist.sim import CSV_HEADER
 
 
@@ -54,9 +55,11 @@ class TestRunTrial:
     def test_trials_differ_across_indices(self):
         assert run_trial(cfg(), 0) != run_trial(cfg(), 1)
 
-    def test_diagnostic_override_gives_zero(self):
+    def test_diagnostic_override_gives_zero(self, monkeypatch):
+        # the target itself as the estimator's iterate: its distance is 0
         config = cfg(distribution=BetaParams(1, 1))
-        result = run_trial(config, 0, estimator_override=UniformDF())
+        monkeypatch.setattr(sim, "iterate_exact", lambda system, start, iters: UniformDF())
+        result = run_trial(config, 0)
         assert result.d_estimator == 0.0
         assert result.d_edf > 0.0
 
