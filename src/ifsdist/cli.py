@@ -29,9 +29,8 @@ from .distfn import (
     read_sample_file,
     write_function_csv,
 )
-from .ifs import default_mesh, iterate_exact, write_system_json
+from .ifs import _MapTable, default_mesh, iterate_exact, write_system_json
 from .inverse import CollageProblem, solve_inverse
-from .ifs import AffineMap
 from .randstats import BetaDF, BetaParams, parse_distribution
 from .sim import TrialConfig, run_table
 
@@ -92,7 +91,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--exact-sup", action="store_true",
-                   help="augment the evaluation points with all breakpoints")
+                   help="augment the evaluation points with the iterate's breakpoints; "
+                        "past 4096 of them a subset is kept, and the sup is a lower bound")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
 
@@ -153,7 +153,7 @@ def _partition_maps(spec: str):
         if not is_sample and np.any(np.diff(xs) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         cuts = np.concatenate([[0.0], edf_from_sample(xs).sample, [1.0]])
-    return [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    return _MapTable.on_cells(cuts, identity=True)
 
 
 def _write_iterate(system, args) -> int:
@@ -175,7 +175,7 @@ def _cmd_edf_ifs(args) -> int:
 def _cmd_invert(args) -> int:
     target = _target_from_spec(args.target, args.target_mode)
     maps = _partition_maps(args.partition)
-    problem = CollageProblem(target, maps, np.zeros(len(maps) - 1))
+    problem = CollageProblem(target, maps, np.zeros(maps.k - 1))
     solution = solve_inverse(problem)
     text = json.dumps(solution.to_json(), indent=2, allow_nan=False)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -196,6 +196,8 @@ def _cmd_simulate(args) -> int:
         seed = int(args.seed)
     else:
         seed = int(os.environ.get("IFS_SEED", "0"))
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     k = args.k if args.k == "auto" else int(args.k)
     configs = [
         TrialConfig(
@@ -210,7 +212,7 @@ def _cmd_simulate(args) -> int:
         )
         for n in sizes
     ]
-    table = run_table(configs, jobs=args.jobs)
+    table = run_table(configs)
     table.write_csv(args.out)
     return 0
 

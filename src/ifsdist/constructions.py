@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distfn import DistributionFunction, _nonfinite_violation
-from .ifs import AffineMap, IfsSystem
+from .ifs import IfsSystem, _MapTable
 
 __all__ = [
     "edf_ifs",
@@ -51,25 +51,33 @@ def edf_ifs(sample) -> IfsSystem:
         raise ValueError("sample contains duplicate values")
     n = len(xs)
     cuts = np.concatenate([[0.0], xs, [1.0]])
-    maps = [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(n + 1)]
     p = np.concatenate([[0.0], np.full(n, 1.0 / n)])
     delta = np.concatenate([[(n - 1) / n**2], np.full(n - 1, -1.0 / n**2)])
-    return IfsSystem(maps, p, delta, identity_partition=True)
+    return IfsSystem(_MapTable.on_cells(cuts, identity=True), p, delta)
 
 
-def _invert_cdf(f: DistributionFunction, levels: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Bisection for F(x) = level on [0,1], all levels at once.
+def _invert_cdf(f: DistributionFunction, levels: np.ndarray):
+    """Bisection for F(x) = level on [0,1], all levels at once; returns x and F(x).
 
     Every lane makes the test F(mid) < level of a scalar bisection, and all
-    brackets halve together, so every lane stops after the same step.
+    brackets halve together until they are at most 1e-12 wide.  A lane
+    whose midpoint then misses its level by more than 1e-9 (F steep next to
+    0 or 1) halves on until it meets the level or the midpoint is an end of
+    its bracket: then no double lies closer to where F crosses the level.
     """
     lo, hi = np.zeros(len(levels)), np.ones(len(levels))
-    while np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
-        below = f.eval_array(mid) < levels
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    x, fx = 0.5 * (lo + hi), np.empty(len(levels))
+    lane = np.arange(len(levels))
+    while lane.size:
+        fx[lane] = f.eval_array(x[lane])
+        misses = ((np.abs(fx[lane] - levels[lane]) > 1e-9)
+                  & (x[lane] > lo[lane]) & (x[lane] < hi[lane]))
+        lane = lane[(hi[lane] - lo[lane] > 1e-12) | misses]
+        below = fx[lane] < levels[lane]
+        lo[lane] = np.where(below, x[lane], lo[lane])
+        hi[lane] = np.where(below, hi[lane], x[lane])
+        x[lane] = 0.5 * (lo[lane] + hi[lane])
+    return x, fx
 
 
 def quantile_ifs(f: DistributionFunction, n_points: int) -> IfsSystem:
@@ -77,29 +85,29 @@ def quantile_ifs(f: DistributionFunction, n_points: int) -> IfsSystem:
 
     Levels are i/(n_points+1); each map sends [0,1) affinely onto one
     inter-quantile cell with weight F(x_i) - F(x_{i-1}), so the weights sum
-    to one with zero offsets and every iterate passes through (x_i, level_i).
-    F must be continuous and strictly increasing.
+    to one with zero offsets and every iterate passes through (x_i, F(x_i)).
+    F(x_i) is level_i to within 1e-9 unless no double x comes that close
+    (F steep next to 0 or 1).  F must be continuous and strictly increasing;
+    a level that F's left limits show to lie inside a jump is an error.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     m = n_points
     levels = np.arange(1, m + 1) / (m + 1)
-    xs = _invert_cdf(f, levels)
+    xs, fx = _invert_cdf(f, levels)
     cuts = np.concatenate([[0.0], xs, [1.0]])
     if np.any(np.diff(cuts) <= 0.0):
         raise ValueError(
             "quantiles are not strictly increasing; F must be strictly increasing on [0,1]"
         )
-    fvals = np.concatenate([[0.0], f.eval_array(xs), [1.0]])
-    residual = np.max(np.abs(fvals[1:-1] - levels)) if m else 0.0
-    if residual > 1e-9:
-        raise ValueError(f"quantile solve failed: |F(x_i) - u_i| up to {residual}")
-    p = np.diff(fvals)
-    maps = [
-        AffineMap.from_intervals((0.0, 1.0), (cuts[i], cuts[i + 1]))
-        for i in range(m + 1)
-    ]
-    return IfsSystem(maps, p, np.zeros(m), identity_partition=False)
+    # at a miss, F crosses the level between x_i and its neighbour: at the
+    # first double where F reaches it, the left limit tells a jump from a slope
+    first = np.where(fx >= levels, xs, np.nextafter(xs, 1.0))
+    residual = np.abs(fx - levels)
+    if np.any((residual > 1e-9) & (f.eval_left_array(first) < levels)):
+        raise ValueError(f"quantile solve failed: |F(x_i) - u_i| up to {residual.max()}")
+    p = np.diff(np.concatenate([[0.0], fx, [1.0]]))
+    return IfsSystem(_MapTable.on_cells(cuts, identity=False), p, np.zeros(m))
 
 
 def _order_ranks(levels, n: int) -> np.ndarray:
@@ -140,21 +148,11 @@ def quantile_estimator(sample, k: int) -> IfsSystem:
         raise ValueError(f"k = {k} must be smaller than the sample size {n}")
     qs = arr[_order_ranks(np.arange(1, k) / k, n) - 1]
     cuts = np.concatenate([[0.0], qs, [1.0]])
-    weights = np.full(k, 1.0 / k)
-    merged_cuts = [0.0]
-    merged_w = []
-    acc = 0.0
-    for i in range(k):
-        acc += weights[i]
-        if cuts[i + 1] > merged_cuts[-1]:
-            merged_cuts.append(float(cuts[i + 1]))
-            merged_w.append(acc)
-            acc = 0.0
-    if acc:  # trailing degenerate cells cannot occur for samples inside (0,1)
-        merged_w[-1] += acc
-    maps = [
-        AffineMap.from_intervals((0.0, 1.0), (merged_cuts[i], merged_cuts[i + 1]))
-        for i in range(len(merged_w))
-    ]
-    return IfsSystem(maps, np.asarray(merged_w), np.zeros(len(merged_w) - 1),
-                     identity_partition=False)
+    # a run of r cells that share a cut merges into one whose weight is the
+    # running sum of r weights 1/k; the last cut, 1, is above every quantile
+    closes = np.flatnonzero(cuts[1:] > cuts[:-1])
+    runs = np.diff(closes, prepend=-1)
+    weights = np.cumsum(np.full(k, 1.0 / k))[runs - 1]
+    merged_cuts = np.concatenate([[0.0], cuts[1:][closes]])
+    return IfsSystem(_MapTable.on_cells(merged_cuts, identity=False), weights,
+                     np.zeros(len(weights) - 1))

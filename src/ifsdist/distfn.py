@@ -247,7 +247,9 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
 
     Left limits are evaluated at every interior point of the evaluation
     set, so the result is exact for step/grid carriers whose breakpoints
-    are all known, and a lower bound on the true sup otherwise.
+    are all known, and a lower bound on the true sup otherwise.  An
+    iterate (``IteratedDF``) keeps an evenly spaced subset once its
+    breakpoints pass 4096, and the result is then a lower bound too.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")

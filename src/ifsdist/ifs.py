@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log
 from typing import NamedTuple
 
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# Most breakpoints an iterate keeps after each pullback step, and the number
+# of intervals of the default mesh of a contractive system.
+_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -95,67 +99,160 @@ class AffineMap:
 
 
 class _MapTable:
-    """Lookup arrays of a tuple of maps ordered by target start, as read by
-    :func:`_pullback`."""
+    """The maps w_i(x) = slope_i x + intercept_i on [a_i, b_i), ordered by
+    target start, as four arrays; the only store of map data.
 
-    def __init__(self, maps):
-        self.maps = tuple(maps)
-        self._starts = np.array([m.c for m in self.maps])
-        self._ends = np.array([m.d for m in self.maps])
-        self._src_lo = np.array([m.a for m in self.maps])
-        self._src_hi = np.array([m.b for m in self.maps])
-        self._slopes = np.array([m.slope for m in self.maps])
-        self._intercepts = np.array([m.intercept for m in self.maps])
-        self._exact_maps = np.array([m.is_identity() for m in self.maps])
+    Target starts and ends and the mask of identity maps are derived from
+    the four arrays; :func:`_pullback` reads them.  The :class:`AffineMap`
+    tuple ``maps`` is built only when asked for.
+    """
+
+    def __init__(self, a, b, slope, intercept):
+        self.a, self.b, self.slope, self.intercept = (
+            np.asarray(v, float) for v in (a, b, slope, intercept))
+        with np.errstate(all="ignore"):  # non-finite parameters are reported by violations()
+            self.starts = self.slope * self.a + self.intercept
+            self.ends = self.slope * self.b + self.intercept
+        self.exact = (self.slope == 1.0) & (self.intercept == 0.0)
+
+    @classmethod
+    def of(cls, maps) -> "_MapTable":
+        """``maps`` itself if it is a table, else the table of its AffineMaps."""
+        if isinstance(maps, _MapTable):
+            return maps
+        rows = np.array([(m.a, m.b, m.slope, m.intercept) for m in maps], float)
+        return cls(*rows.reshape(-1, 4).T)
+
+    @classmethod
+    def on_cells(cls, cuts, identity: bool) -> "_MapTable":
+        """One map onto each cell [cuts_i, cuts_{i+1}) of strictly increasing
+        cuts, from the cell itself (the identity: x/x = 1 and c - c = 0
+        exactly) or from [0,1), as ``AffineMap.from_intervals`` computes it."""
+        c, d = np.asarray(cuts[:-1], float), np.asarray(cuts[1:], float)
+        a, b = (c, d) if identity else (np.zeros_like(c), np.ones_like(c))
+        slope = (d - c) / (b - a)
+        return cls(a, b, slope, c - slope * a)
+
+    @property
+    def k(self) -> int:
+        return len(self.a)
+
+    @cached_property
+    def maps(self) -> tuple:
+        return tuple(map(AffineMap, self.a.tolist(), self.b.tolist(),
+                         self.slope.tolist(), self.intercept.tolist()))
+
+    def images(self, xs) -> np.ndarray:
+        """w_i(x) for every x and every map i whose source [a_i, b_i) holds x."""
+        xs = np.sort(np.asarray(xs, float))
+        lo, hi = np.searchsorted(xs, self.a), np.searchsorted(xs, self.b)
+        counts = np.maximum(hi - lo, 0)
+        # map i takes xs[lo_i : lo_i + counts_i]; the index array is freed
+        # before the products are formed, so at most two result-sized arrays live
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        at += np.arange(at.size)
+        out = xs[at]
+        del at
+        out *= np.repeat(self.slope, counts)
+        out += np.repeat(self.intercept, counts)
+        return out
+
+    def violations(self, delta) -> list[str]:
+        """Checks on the maps and offsets that do not involve the weights.
+
+        Every range test is written so that NaN fails it (``not x > 0``
+        rejects a NaN slope), as the finiteness check reports NaN anyway.
+        """
+        k = self.k
+        if k < 1:
+            return ["system has no maps"]
+        out = []
+        if len(delta) != k - 1:
+            out.append(f"expected {k - 1} offsets, got {len(delta)}")
+        a, b, slope, starts, ends = self.a, self.b, self.slope, self.starts, self.ends
+        for name, values in (("offsets", delta),
+                             ("map parameters", np.column_stack([a, b, slope, self.intercept]))):
+            problem = _nonfinite_violation(name, values)
+            if problem:
+                out.append(problem)
+        with np.errstate(all="ignore"):
+            mid = 0.5 * (a + b)
+            per_map = [
+                (~(slope > 0.0), "slope {slope} is not positive"),
+                (~(b > a), "empty source interval [{a},{b})"),
+                ((a < -_TOL) | (b > 1.0 + _TOL), "source [{a},{b}) leaves [0,1]"),
+                ((starts < -_TOL) | (ends > 1.0 + _TOL), "target [{c},{d}) leaves [0,1]"),
+                (np.abs((slope * mid + self.intercept - self.intercept) / slope - mid) > _TOL,
+                 "inverse(forward(x)) != x"),
+            ]
+            gap = starts[1:] - ends[:-1]
+        failed = np.column_stack([mask for mask, _ in per_map])
+        for i, check in zip(*np.nonzero(failed)):  # by map, then by check
+            out.append(f"map {i}: " + per_map[check][1].format(
+                a=a[i], b=b[i], c=starts[i], d=ends[i], slope=slope[i]))
+        if np.any(starts[1:] <= starts[:-1]):
+            out.append("maps must be ordered by strictly increasing target start")
+            return out
+        if abs(starts[0]) > _TOL:
+            out.append(f"first target must start at 0, got {float(starts[0])}")
+        if abs(ends[-1] - 1.0) > _TOL:
+            out.append(f"last target must end at 1, got {float(ends[-1])}")
+        if abs(a[0]) > _TOL:
+            out.append(f"first source must start at 0, got {float(a[0])}")
+        if abs(b[-1] - 1.0) > _TOL:
+            out.append(f"last source must end at 1, got {float(b[-1])}")
+        for i in np.flatnonzero((gap > _TOL) | (gap < -_TOL)):
+            g = float(gap[i])
+            out.append(f"targets {i} and {i + 1} leave a gap of {g}" if g > 0.0
+                       else f"targets {i} and {i + 1} overlap by {-g}")
+        return out
 
 
-class IfsSystem(_MapTable):
+class IfsSystem:
     """Immutable bundle of maps, weights and offsets defining the operator.
 
-    ``identity_partition`` is auto-detected when not given: true iff every
-    map is the identity on its own interval and the intervals partition
-    [0,1).  Derived lookup arrays are cached; instances are safe to share
+    ``maps`` is a sequence of :class:`AffineMap` (or the map table that the
+    package's constructions build from their cuts).  ``identity_partition`` is
+    derived: true iff every map is the identity on its own interval and the
+    maps and offsets pass the structural checks (so the intervals partition
+    [0,1)).  The checks run once, on first use.  Instances are safe to share
     across threads.
     """
 
-    def __init__(self, maps, p, delta, identity_partition: bool | None = None):
-        super().__init__(maps)
+    def __init__(self, maps, p, delta):
+        self._table = _MapTable.of(maps)
         self.p = np.asarray(p, float).copy()
         self.delta = np.asarray(delta, float).copy()
         self.p.flags.writeable = False
         self.delta.flags.writeable = False
-        k = len(self.maps)
-        self._k = k
+        k = self._table.k
         # offsets[i] = sum_{j<i} p_j + sum_{j<i} delta_j
         off = np.zeros(k)
         if k > 1 and len(self.p) == k and len(self.delta) == k - 1:
             off[1:] = np.cumsum(self.p[:-1]) + np.cumsum(self.delta)
         self._offsets = off
-        if identity_partition is None:
-            identity_partition = self._detect_identity_partition()
-        self.identity_partition = bool(identity_partition)
-        self._violations: list[str] | None = None
 
     @property
     def k(self) -> int:
-        return self._k
+        return self._table.k
 
-    def _detect_identity_partition(self) -> bool:
-        if not all(m.is_identity() for m in self.maps):
-            return False
-        return self._is_partition()
+    @property
+    def maps(self) -> tuple:
+        return self._table.maps
 
-    def _is_partition(self) -> bool:
-        s, e = self._starts, self._ends
-        if abs(s[0]) > _TOL or abs(e[-1] - 1.0) > _TOL:
-            return False
-        if np.any(np.diff(s) <= 0.0):
-            return False
-        return bool(np.all(np.abs(e[:-1] - s[1:]) <= _TOL))
+    @cached_property
+    def _structural(self) -> list[str]:
+        return self._table.violations(self.delta)
+
+    @cached_property
+    def identity_partition(self) -> bool:
+        return bool(self._table.exact.all()) and not self._structural
+
+    @cached_property
+    def _violations(self) -> list[str]:
+        return self._structural + _weight_violations(self)
 
     def violations(self) -> list[str]:
-        if self._violations is None:
-            self._violations = _compute_violations(self)
         return list(self._violations)
 
     def require_valid(self) -> None:
@@ -165,60 +262,14 @@ class IfsSystem(_MapTable):
 
     def __repr__(self) -> str:
         return (
-            f"IfsSystem(k={self._k}, identity_partition={self.identity_partition})"
+            f"IfsSystem(k={self.k}, identity_partition={self.identity_partition})"
         )
 
 
-def _structural_violations(maps, delta) -> list[str]:
-    """Checks on maps and offsets that do not involve the weights."""
+def _weight_violations(system: IfsSystem) -> list[str]:
+    """Checks that involve the weights, after the structural ones."""
     out = []
-    k = len(maps)
-    if k < 1:
-        return ["system has no maps"]
-    if len(delta) != k - 1:
-        out.append(f"expected {k - 1} offsets, got {len(delta)}")
-    for name, values in (("offsets", delta),
-                         ("map parameters", [(m.a, m.b, m.slope, m.intercept) for m in maps])):
-        problem = _nonfinite_violation(name, values)
-        if problem:
-            out.append(problem)
-    for i, m in enumerate(maps):
-        if not m.slope > 0.0:
-            out.append(f"map {i}: slope {m.slope} is not positive")
-        if not m.b > m.a:
-            out.append(f"map {i}: empty source interval [{m.a},{m.b})")
-        if m.a < -_TOL or m.b > 1.0 + _TOL:
-            out.append(f"map {i}: source [{m.a},{m.b}) leaves [0,1]")
-        if m.c < -_TOL or m.d > 1.0 + _TOL:
-            out.append(f"map {i}: target [{m.c},{m.d}) leaves [0,1]")
-        mid = 0.5 * (m.a + m.b)
-        if abs(m.inverse(m.forward(mid)) - mid) > _TOL:
-            out.append(f"map {i}: inverse(forward(x)) != x")
-    starts = [m.c for m in maps]
-    ends = [m.d for m in maps]
-    if any(s2 <= s1 for s1, s2 in zip(starts, starts[1:])):
-        out.append("maps must be ordered by strictly increasing target start")
-        return out
-    if abs(starts[0]) > _TOL:
-        out.append(f"first target must start at 0, got {starts[0]}")
-    if abs(ends[-1] - 1.0) > _TOL:
-        out.append(f"last target must end at 1, got {ends[-1]}")
-    if abs(maps[0].a) > _TOL:
-        out.append(f"first source must start at 0, got {maps[0].a}")
-    if abs(maps[-1].b - 1.0) > _TOL:
-        out.append(f"last source must end at 1, got {maps[-1].b}")
-    for i in range(k - 1):
-        gap = starts[i + 1] - ends[i]
-        if gap > _TOL:
-            out.append(f"targets {i} and {i + 1} leave a gap of {gap}")
-        elif gap < -_TOL:
-            out.append(f"targets {i} and {i + 1} overlap by {-gap}")
-    return out
-
-
-def _compute_violations(system: IfsSystem) -> list[str]:
-    out = _structural_violations(system.maps, system.delta)
-    k = len(system.maps)
+    k = system.k
     p, delta = system.p, system.delta
     if len(p) != k:
         out.append(f"expected {k} weights, got {len(p)}")
@@ -232,14 +283,11 @@ def _compute_violations(system: IfsSystem) -> list[str]:
     if abs(total - 1.0) > _TOL:
         out.append(f"sum(p) + sum(delta) = {total}, expected 1")
     if system.identity_partition:
-        if not system._detect_identity_partition():
-            out.append("identity_partition flag set but maps are not an identity partition")
-        for j in range(min(len(delta), k - 1)):
-            floor = -min(p[j], p[j + 1])
-            if delta[j] < floor - _TOL:
-                out.append(
-                    f"offset delta[{j}] = {delta[j]} below -min(p_{j}, p_{j + 1}) = {floor}"
-                )
+        floor = -np.minimum(p[:-1], p[1:])
+        for j in np.flatnonzero(delta < floor - _TOL):
+            out.append(
+                f"offset delta[{j}] = {delta[j]} below -min(p_{j}, p_{j + 1}) = {floor[j]}"
+            )
     else:
         if np.any(delta < -_TOL):
             out.append("negative offsets require an identity-partition system")
@@ -284,20 +332,20 @@ def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
     at-or-above the true preimage (right continuity) and left limits below
     it.  Identity maps pull back exactly and are left alone.
     """
-    starts = table._starts
+    starts = table.starts
     idx = np.searchsorted(starts, ys, side="right") - 1
     np.clip(idx, 0, len(starts) - 1, out=idx)
     if left:
         on_boundary = (idx > 0) & (starts[idx] == ys)
         idx -= on_boundary
-    pulled = (ys - table._intercepts[idx]) / table._slopes[idx]
-    inexact = ~table._exact_maps[idx]
+    pulled = (ys - table.intercept[idx]) / table.slope[idx]
+    inexact = ~table.exact[idx]
     if np.any(inexact):
         step = 4.0 * np.spacing(np.maximum(np.abs(pulled), 1e-300))
         pulled = np.where(inexact, pulled - step if left else pulled + step, pulled)
-    pulled = np.clip(pulled, table._src_lo[idx], table._src_hi[idx])
+    pulled = np.clip(pulled, table.a[idx], table.b[idx])
     if left:
-        pulled = np.where(on_boundary, table._src_hi[idx], pulled)
+        pulled = np.where(on_boundary, table.b[idx], pulled)
     return idx, pulled
 
 
@@ -312,7 +360,7 @@ def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False,
     off = np.zeros_like(y)
     snap = (amp.copy(), off.copy(), y.copy()) if snapshot_at == 0 else None
     for step in range(1, depth + 1):
-        idx, y = _pullback(system, y, left)
+        idx, y = _pullback(system._table, y, left)
         off += amp * system._offsets[idx]
         amp = amp * system.p[idx]
         if step == snapshot_at:
@@ -323,15 +371,13 @@ def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False,
 class IteratedDF(DistributionFunction):
     """Lazy, exactly evaluatable iterate T^s u0 of a valid system."""
 
-    def __init__(self, system: IfsSystem, u0: DistributionFunction, depth: int,
-                 breakpoint_cap: int = 4096):
+    def __init__(self, system: IfsSystem, u0: DistributionFunction, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         system.require_valid()
         self.system = system
         self.u0 = u0
         self.depth = int(depth)
-        self._cap = int(breakpoint_cap)
         self._bps: np.ndarray | None = None
 
     def eval(self, x: float) -> float:
@@ -353,27 +399,29 @@ class IteratedDF(DistributionFunction):
         return amp * self.u0.eval_left_array(y) + off
 
     def breakpoints(self) -> np.ndarray:
+        """The start's breakpoints and the cell boundaries, carried through
+        ``depth`` map steps.
+
+        Past _CAP (4096) points after a step, an evenly spaced subset plus
+        the cell boundaries is kept, so the set is then incomplete and a sup
+        taken over it (``sup_distance``, ``simulate --exact-sup``) is a lower
+        bound.
+        """
         if self._bps is None:
-            self._bps = _image_breakpoints(self.system, self.u0, self.depth, self._cap)
+            self._bps = _image_breakpoints(self.system._table, self.u0, self.depth)
         return self._bps
 
     def __repr__(self) -> str:
         return f"IteratedDF(depth={self.depth}, k={self.system.k})"
 
 
-def _image_breakpoints(system: IfsSystem, u0: DistributionFunction, depth: int,
-                       cap: int) -> np.ndarray:
-    boundary = np.unique(np.concatenate([system._starts, system._ends]))
+def _image_breakpoints(table: _MapTable, u0: DistributionFunction, depth: int) -> np.ndarray:
+    boundary = np.unique(np.concatenate([table.starts, table.ends]))
     bps = np.asarray(u0.breakpoints(), float)
     for _ in range(depth):
-        images = [boundary]
-        for m in system.maps:
-            inside = bps[(bps >= m.a) & (bps < m.b)]
-            if inside.size:
-                images.append(m.slope * inside + m.intercept)
-        bps = np.unique(np.concatenate(images))
-        if bps.size > cap:
-            keep = np.linspace(0, bps.size - 1, cap).astype(int)
+        bps = np.unique(np.concatenate([boundary, table.images(bps)]))
+        if bps.size > _CAP:
+            keep = np.linspace(0, bps.size - 1, _CAP).astype(int)
             bps = np.unique(np.concatenate([bps[keep], boundary]))
     return bps[(bps > 0.0) & (bps < 1.0)]
 
@@ -388,19 +436,17 @@ def iterate_exact(system: IfsSystem, u0: DistributionFunction, s: int) -> Iterat
     return IteratedDF(system, u0, depth=s)
 
 
-def default_mesh(system: IfsSystem, u0: DistributionFunction | None = None,
-                 cap: int = 4096) -> np.ndarray:
+def default_mesh(system: IfsSystem, u0: DistributionFunction | None = None) -> np.ndarray:
     """Evaluation mesh containing all target-interval endpoints.
 
     Identity-partition systems keep their breakpoints at the same boundaries
     under iteration, so a modest uniform refinement suffices; contractive
-    maps spread breakpoints densely and get a fine grid up to ``cap``.
+    maps spread breakpoints densely and get a grid of _CAP + 1 points.
     """
-    pieces = [system._starts, system._ends]
+    pieces = [system._table.starts, system._table.ends]
     if u0 is not None:
         pieces.append(np.asarray(u0.breakpoints(), float))
-    grid_n = 129 if system.identity_partition else cap + 1
-    pieces.append(np.linspace(0.0, 1.0, min(grid_n, cap + 1)))
+    pieces.append(np.linspace(0.0, 1.0, 129 if system.identity_partition else _CAP + 1))
     mesh = np.unique(np.concatenate(pieces))
     return mesh[(mesh >= 0.0) & (mesh <= 1.0)]
 
@@ -413,15 +459,12 @@ def _sample_grid(system: IfsSystem, vals_right: np.ndarray, mesh: np.ndarray) ->
     return GridDF(mesh, vals, mode=mode)
 
 
-def iterate(system: IfsSystem, u0: DistributionFunction, s: int,
-            mesh=None, mesh_cap: int = 4096) -> GridDF:
-    """T^s u0 sampled on a mesh (augmented with all target endpoints)."""
+def iterate(system: IfsSystem, u0: DistributionFunction, s: int) -> GridDF:
+    """T^s u0 sampled on its default mesh."""
     if s < 1:
         raise ValueError("iteration count must be >= 1")
     system.require_valid()
-    base = default_mesh(system, u0, cap=mesh_cap)
-    if mesh is not None:
-        base = np.unique(np.concatenate([base, np.asarray(mesh, float)]))
+    base = default_mesh(system, u0)
     it = IteratedDF(system, u0, depth=s)
     return _sample_grid(system, it.eval_array(base), base)
 
@@ -432,12 +475,14 @@ class FixedPointResult(NamedTuple):
     error_bound: float
 
 
-def fixed_point(system: IfsSystem, tol: float = 1e-9, mesh=None) -> FixedPointResult:
+def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
     """Approximate the unique fixed point by iterating from the uniform start.
 
     Iterates until the mesh sup distance between consecutive iterates drops
-    below tol*(1-c)/c; the certified bound c/(1-c)*d(T u, u) on the mesh
-    distance to the true fixed point is then at most tol.  Requires c < 1.
+    below tol*(1-c)/c; the bound c/(1-c)*d(T u, u) on the mesh distance to
+    the true fixed point is then at most tol.  Requires c < 1.  The bound is
+    certified on the mesh points (right values and left limits) only: both
+    distances are maxima over the mesh, not the sup over [0,1].
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -445,10 +490,7 @@ def fixed_point(system: IfsSystem, tol: float = 1e-9, mesh=None) -> FixedPointRe
     c = contractivity(system)
     if c >= 1.0:
         raise ValueError(f"system is not contractive: max weight = {c}")
-    if mesh is None:
-        mesh = default_mesh(system)
-    else:
-        mesh = np.unique(np.concatenate([default_mesh(system), np.asarray(mesh, float)]))
+    mesh = default_mesh(system)
     u0 = UniformDF()
     threshold = np.inf if c == 0.0 else tol * (1.0 - c) / c
 
@@ -503,19 +545,24 @@ def system_to_json(system: IfsSystem) -> dict:
 
 
 def system_from_json(data: dict) -> IfsSystem:
+    """The system a :func:`system_to_json` record describes.
+
+    An ``identity_partition`` field, when present, must agree with the value
+    derived from the maps and offsets.
+    """
     try:
-        maps = [
-            AffineMap(float(m["a"]), float(m["b"]), float(m["slope"]), float(m["intercept"]))
-            for m in data["maps"]
-        ]
-        return IfsSystem(
-            maps,
-            data["p"],
-            data["delta"],
-            identity_partition=data.get("identity_partition"),
-        )
+        maps = [AffineMap(*(float(m[key]) for key in ("a", "b", "slope", "intercept")))
+                for m in data["maps"]]
+        system = IfsSystem(maps, data["p"], data["delta"])
+        flag = data.get("identity_partition")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed IFS system JSON: {exc}") from None
+    if flag is not None and bool(flag) != system.identity_partition:
+        raise ValueError(
+            f"identity_partition is {bool(flag)} but the maps and offsets "
+            f"{'form' if system.identity_partition else 'do not form'} an identity partition"
+        )
+    return system
 
 
 def write_system_json(system: IfsSystem, path) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distfn import DistributionFunction
-from .ifs import _TOL, _MapTable, _pullback, _structural_violations
+from .ifs import _TOL, _MapTable, _pullback
 
 __all__ = [
     "CollageProblem",
@@ -66,20 +66,20 @@ class CollageProblem:
 
     def __init__(self, target: DistributionFunction, maps, delta,
                  mode: str | None = None, grid_size: int = 512):
-        structural = _structural_violations(maps, list(delta))
+        self._table = _MapTable.of(maps)
+        self.delta = np.asarray(delta, float).copy()
+        self.delta.flags.writeable = False
+        structural = self._table.violations(self.delta)
         if structural:
             raise ValueError("invalid collage problem: " + "; ".join(structural))
         self.target = target
-        self.maps = tuple(maps)
-        self.delta = np.asarray(delta, float).copy()
-        self.delta.flags.writeable = False
-        self.k = len(self.maps)
+        self.k = self._table.k
         self.weight_sum = 1.0 - float(np.sum(self.delta))
         if self.weight_sum <= 0.0:
             raise ValueError(
                 f"1 - sum(delta) = {self.weight_sum} must be positive for a usable simplex"
             )
-        identity = all(m.is_identity() for m in self.maps)
+        identity = bool(self._table.exact.all())
         if mode is None:
             mode = "exact" if identity else "grid"
         if mode == "exact" and not identity:
@@ -90,30 +90,29 @@ class CollageProblem:
         self.grid_size = int(grid_size)
         self._assemble()
 
+    @property
+    def maps(self) -> tuple:
+        return self._table.maps
+
     # -- constraint assembly ------------------------------------------------
 
     def _assemble(self) -> None:
-        target = self.target
+        target, table = self.target, self._table
         if self.mode == "exact":
             # row 2i is T_p F - F at a_i, row 2i+1 its left limit at b_i,
             # with w = f = F(a_i), F(b_i-)
             k = self.k
             w = np.empty(2 * k)
-            w[0::2] = target.eval_array(np.array([m.a for m in self.maps]))
-            w[1::2] = target.eval_left_array(np.array([m.b for m in self.maps]))
+            w[0::2] = target.eval_array(table.a)
+            w[1::2] = target.eval_left_array(table.b)
             self._start_values = w[0::2]
-            spots = [spot for m in self.maps for spot in ((m.a, False), (m.b, True))]
+            spots = zip(np.column_stack([table.a, table.b]).ravel().tolist(), [False, True] * k)
             self._set_rows(np.repeat(np.arange(k), 2), w, w, spots)
             return
-        table = _MapTable(self.maps)
-        pts = [np.linspace(0.0, 1.0, self.grid_size), table._starts, table._ends]
+        pts = [np.linspace(0.0, 1.0, self.grid_size), table.starts, table.ends]
         bps = np.asarray(target.breakpoints(), float)
         if bps.size:
-            pts.append(bps)
-            for m in self.maps:
-                inside = bps[(bps >= m.a) & (bps < m.b)]
-                if inside.size:
-                    pts.append(m.slope * inside + m.intercept)
+            pts += [bps, table.images(bps)]
         xs = np.unique(np.concatenate(pts))
         xs = xs[(xs >= 0.0) & (xs <= 1.0)]
         # a right-value row at every x, then a left-limit row at every x > 0
@@ -124,7 +123,7 @@ class CollageProblem:
         w = np.concatenate([target.eval_array(pulled_r), target.eval_left_array(pulled_l)])
         f_right = target.eval_array(xs)
         f = np.concatenate([f_right, target.eval_left_array(xl)])
-        self._start_values = f_right[np.searchsorted(xs, table._starts)]
+        self._start_values = f_right[np.searchsorted(xs, table.starts)]
         spot_x = np.concatenate([xs, xl])
         is_left = np.arange(len(cell)) >= len(xs)
         order = np.lexsort((is_left, spot_x))
@@ -307,12 +306,13 @@ def _hull_cell(ws, cs):
         # (1 - wn) * (row m >= cm - t) against (1 - wm) * (row n <= cn + t):
         # (wn - wm) y <= (1 - wm)(cn + t) - (1 - wn)(cm - t)
         a, b, dw = (1.0 - wm) * cn - (1.0 - wn) * cm, 2.0 - (wm + wn), wn - wm
-        if dw > 0.0:
-            add(0.0, b / dw, cl=a / b)
-        elif dw < 0.0:
-            add(0.0, b / -dw, cu=-a / b)
-        else:
+        if dw == 0.0:
             t_floor = max(t_floor, 0.5 * (cm - cn))
+        elif b > 0.0:  # b = 0 (w_m + w_n rounds to 2) gives r = 0, a vacuous bound
+            if dw > 0.0:
+                add(0.0, b / dw, cl=a / b)
+            else:
+                add(0.0, b / -dw, cu=-a / b)
     top = upper[-1][1] if upper else -_INF
     return (top, tuple((cl, cu, q, r) for (q, r), (cl, cu) in terms.items())), t_floor
 
@@ -389,9 +389,11 @@ def _active_pairs(lower, upper):
     while iu > 0 or il < len(lower) - 1:
         du = _slope(upper[iu - 1], upper[iu]) if iu > 0 else _INF
         dl = _slope(lower[il], lower[il + 1]) if il < len(lower) - 1 else _INF
-        if du <= dl:
+        # a slope over a denormal gap in w overflows to inf, like the
+        # sentinel of an exhausted side, which must then stay put
+        if iu > 0 and du <= dl:
             iu -= 1
-        if dl <= du:
+        if il < len(lower) - 1 and dl <= du:
             il += 1
         pairs.append((upper[iu], lower[il]))
     return pairs

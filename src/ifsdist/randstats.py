@@ -241,6 +241,8 @@ def _bisect(a: float, b: float, us: np.ndarray) -> np.ndarray:
             below = mid < g
             walk_lo = np.where(below, mid, walk_lo)
             walk_hi = np.where(below, walk_hi, mid)
+        if a == 1.0 and b == 1.0:  # I_mid(1,1) = mid and the guess is u: every step holds
+            return 0.5 * (walk_lo + walk_hi)
         below = mids < g
         # steps past a lane's budget are not its own; a repeated midpoint
         # repeats its test, so of a stopped lane's steps only the first is checked

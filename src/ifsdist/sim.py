@@ -161,15 +161,12 @@ def _run_config(config: TrialConfig) -> TableRow:
     return row
 
 
-def run_table(configs, jobs: int = 1) -> SimulationTable:
+def run_table(configs) -> SimulationTable:
     """Run each config's trials and aggregate arithmetic means per row.
 
-    Trials run one after another whatever ``jobs`` is (it must be >= 1):
-    they hold the interpreter lock, so threads made the sweep slower, and
-    per-trial substreams make the output independent of it.
+    Trials run one after another: they hold the interpreter lock, so
+    threads made the sweep slower.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = list(configs)
     if not configs:
         raise ValueError("no configurations given")

@@ -7,6 +7,7 @@ from ifsdist import (
     BetaDF,
     BetaParams,
     FuncDF,
+    GridDF,
     UniformDF,
     contractivity,
     edf_from_sample,
@@ -137,6 +138,38 @@ class TestQuantileIfs:
 
         cuts = [m.c for m in quantile_ifs(target, 7).maps[1:]]
         assert cuts == [scalar_cut(i / 8) for i in range(1, 8)]
+
+    def test_steep_u_shaped_target(self):
+        # F(x) ~ x^0.1 / 1.97 near 0 puts the 1/31 quantile at 1.08e-12, where
+        # the 1e-12 bracket still misses the level by 7.6e-4.  Near 1 the
+        # doubles are 1.1e-16 apart and F rises by about 3.5e-7 between two
+        # of them, so there the cut is a double next to the crossing.
+        target = BetaDF(BetaParams(0.1, 0.1))
+        system = quantile_ifs(target, 30)
+        assert validate(system) == []
+        xs = np.array([m.c for m in system.maps[1:]])
+        levels = np.arange(1, 31) / 31
+        residual = np.abs(target.eval_array(xs) - levels)
+        assert np.max(residual[:15]) <= 1e-9
+        crossed = ((target.eval_array(np.nextafter(xs, 0.0)) < levels)
+                   & (levels <= target.eval_array(np.nextafter(xs, 1.0))))
+        assert np.all((residual <= 1e-9) | crossed)
+
+    @pytest.mark.parametrize("target", [GridDF([0.0, 0.5, 1.0], [0.0, 0.6, 1.0], mode="step"),
+                                        edf_from_sample([0.5])])
+    def test_rejects_a_level_inside_a_jump(self, target):
+        # the one level 1/2 lies inside F's jump at 0.5, so no cut meets it
+        with pytest.raises(ValueError, match="quantile solve failed"):
+            quantile_ifs(target, 1)
+
+    def test_one_ulp_rise_is_not_a_jump(self):
+        # a continuous F (linear mode) rising by 0.6 over the one ulp past 0.5:
+        # no double meets the level 1/2 within 1e-9, and the cut ends on the
+        # double below the crossing, whose own left limit is below the level
+        x1 = np.nextafter(0.5, 1.0)
+        system = quantile_ifs(GridDF([0.0, 0.5, x1, 1.0], [0.0, 0.2, 0.8, 1.0]), 1)
+        assert validate(system) == []
+        assert system.maps[1].c == 0.5
 
     def test_rejects_non_invertible_cdf(self):
         # a step function sends several levels to the same abscissa

@@ -22,6 +22,8 @@ from ifsdist import (
     validate,
 )
 
+from ifsdist.ifs import _MapTable
+
 from conftest import (
     random_contractive_system,
     random_identity_system,
@@ -62,6 +64,32 @@ class TestAffineMap:
             AffineMap.from_intervals((0.5, 0.5), (0.0, 1.0))
         with pytest.raises(ValueError, match="empty"):
             AffineMap.from_intervals((0.0, 1.0), (0.3, 0.3))
+
+
+class TestMapTable:
+    def test_images_match_the_per_map_loop(self):
+        # the per-map loop that the array helper replaced is the reference
+        rng = np.random.default_rng(83)
+        for trial in range(60):
+            k = int(rng.integers(1, 9))
+            if trial % 3 == 0:  # one shared source, as in the quantile constructions
+                a, b = np.zeros(k), np.ones(k)
+            else:
+                a, b = np.sort(rng.uniform(0.0, 1.0, (2, k)), axis=0)
+            slope, intercept = rng.uniform(0.1, 2.0, k), rng.uniform(-1.0, 1.0, k)
+            xs = np.concatenate([rng.uniform(0.0, 1.0, int(rng.integers(0, 40))), a[:2], b[:2]])
+            want = [slope[i] * xs[(xs >= a[i]) & (xs < b[i])] + intercept[i] for i in range(k)]
+            got = _MapTable(a, b, slope, intercept).images(xs)
+            assert np.array_equal(np.sort(got), np.sort(np.concatenate(want)))
+
+    def test_cells_match_the_affine_map_constructors(self):
+        rng = np.random.default_rng(89)
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 20)), [1.0]])
+        cells = list(zip(cuts[:-1], cuts[1:]))
+        assert _MapTable.on_cells(cuts, identity=True).maps == tuple(
+            AffineMap.identity(c, d) for c, d in cells)
+        assert _MapTable.on_cells(cuts, identity=False).maps == tuple(
+            AffineMap.from_intervals((0.0, 1.0), (c, d)) for c, d in cells)
 
 
 class TestValidate:
@@ -126,12 +154,38 @@ class TestValidate:
         assert any("identity-partition" in v for v in validate(system))
 
     def test_flag_consistency(self):
-        maps = [
-            AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
-            AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
+        # the flag is derived from the maps; a JSON record that contradicts
+        # them is rejected, in either direction
+        for system, wrong in ((quantile_ifs(UniformDF(), 1), True),
+                              (edf_ifs([0.3, 0.7]), False)):
+            data = system_to_json(system)
+            assert system_from_json(data).identity_partition is not wrong
+            data["identity_partition"] = wrong
+            with pytest.raises(ValueError, match="identity_partition is"):
+                system_from_json(data)
+
+    def test_map_messages_in_order(self):
+        # per-map messages come by map, then in check order, before the
+        # checks on the whole partition; texts as the per-map loop wrote them
+        maps = [AffineMap(-0.1, 0.5, 1.0, 0.0), AffineMap(0.5, 0.5, 1.0, 0.0),
+                AffineMap(0.5, 1.2, -1.0, 1.5)]
+        assert validate(IfsSystem(maps, (0.3, 0.3, 0.4), (0.0, 0.0))) == [
+            "map 0: source [-0.1,0.5) leaves [0,1]",
+            "map 0: target [-0.1,0.5) leaves [0,1]",
+            "map 1: empty source interval [0.5,0.5)",
+            "map 2: slope -1.0 is not positive",
+            "map 2: source [0.5,1.2) leaves [0,1]",
+            "first target must start at 0, got -0.1",
+            "last target must end at 1, got 0.30000000000000004",
+            "first source must start at 0, got -0.1",
+            "last source must end at 1, got 1.2",
+            "targets 1 and 2 leave a gap of 0.5",
         ]
-        system = IfsSystem(maps, (0.5, 0.5), (0.0,), identity_partition=True)
-        assert any("flag" in v for v in validate(system))
+
+    def test_identity_flag_needs_a_valid_partition(self):
+        maps = [AffineMap.identity(0.0, 0.5), AffineMap.identity(0.5, 1.0)]
+        assert IfsSystem(maps, (0.5, 0.5), (0.0,)).identity_partition
+        assert not IfsSystem(maps, (0.5, 0.5), (0.0, 0.0)).identity_partition
 
     def test_all_violations_reported(self):
         maps = [

@@ -9,6 +9,7 @@ from ifsdist import (
     BetaDF,
     BetaParams,
     CollageProblem,
+    GridDF,
     IfsSystem,
     UniformDF,
     apply,
@@ -329,6 +330,20 @@ class TestGridSolverAgainstHighs:
         assert_matches_highs(problem, sol)
         # p* is on the weight simplex, so it makes a valid system
         assert IfsSystem(problem.maps, sol.p_star, problem.delta).violations() == []
+
+
+class TestDegenerateRows:
+    @pytest.mark.parametrize("values, mode", [([0.0, 2.2250738585e-313, 1.0], "linear"),
+                                              ([0.0, 0.9999999999999999, 1.0], "step")])
+    def test_rows_a_rounding_apart(self, values, mode):
+        # rows of one cell whose w differ by a denormal, so a hull slope
+        # overflows to inf, or whose w sum to 2 in rounding, so a pair's
+        # 2 - (w_m + w_n) is 0
+        maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
+                AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0))]
+        target = GridDF([0.0, 0.5, 1.0], values, mode=mode)
+        problem = CollageProblem(target, maps, [0.0], grid_size=64)
+        assert_matches_highs(problem, solve_inverse(problem))
 
 
 class TestChainCells:

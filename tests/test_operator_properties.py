@@ -1,0 +1,122 @@
+"""Hypothesis properties of the operator T and the collage distance D.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+import pytest
+
+from ifsdist import (
+    AffineMap,
+    CollageProblem,
+    GridDF,
+    IfsSystem,
+    apply,
+    collage_distance,
+    contractivity,
+    edf_from_sample,
+    edf_ifs,
+    solve_inverse,
+    sup_distance,
+)
+
+from conftest import convexity_witness
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _floats(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def systems(draw):
+    """A valid system on 2-6 cells: identity maps with offsets that may be
+    negative, or maps from [0,1) onto the cells with offsets >= 0."""
+    k = draw(st.integers(2, 6))
+    widths = draw(_floats(0.05, 1.0, k))
+    cuts = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    cuts[-1] = 1.0
+    raw = draw(_floats(0.05, 1.0, k))
+    if draw(st.booleans()):
+        maps = [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(k)]
+        p_hat = raw / raw.sum()
+        delta = -draw(_floats(0.0, 0.9, k - 1)) * np.minimum(p_hat[:-1], p_hat[1:])
+        p = p_hat * (1.0 - delta.sum())
+    else:
+        maps = [AffineMap.from_intervals((0.0, 1.0), (cuts[i], cuts[i + 1])) for i in range(k)]
+        raw_d = draw(_floats(0.0, 0.5, k - 1))
+        p, delta = raw / (raw.sum() + raw_d.sum()), raw_d / (raw.sum() + raw_d.sum())
+    system = IfsSystem(maps, p, delta)
+    assert system.violations() == []
+    return system
+
+
+@st.composite
+def grid_dfs(draw, mode=None):
+    """A step or piecewise-linear distribution function with 1-6 inner knots."""
+    knots = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6, unique=True))
+    values = draw(_floats(0.0, 1.0, len(knots)))
+    mode = mode or draw(st.sampled_from(["step", "linear"]))
+    return GridDF(np.concatenate([[0.0], np.sort(knots), [1.0]]),
+                  np.concatenate([[0.0], np.sort(values), [1.0]]), mode=mode)
+
+
+@SETTINGS
+@hypothesis.given(system=systems(), f=grid_dfs())
+def test_image_is_a_distribution_function(system, f):
+    tf = apply(system, f)
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), tf.breakpoints()]))
+    vals = tf.eval_array(xs)
+    # a contractive map pulls 0 back to a denormal (the right-side nudge of
+    # _pullback), so T F(0) is 0 only up to the shared tolerance
+    assert abs(vals[0]) <= 1e-12 and vals[-1] == 1.0
+    assert np.all(np.diff(vals) >= -1e-12)
+    assert np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12))
+    assert np.all(tf.eval_left_array(xs[1:]) <= vals[1:] + 1e-12)
+
+
+@SETTINGS
+@hypothesis.given(system=systems(), f=grid_dfs("step"), g=grid_dfs("step"))
+def test_contraction_on_step_carriers(system, f, g):
+    # every breakpoint of a step carrier and of its image is known, so
+    # sup_distance is exact on both sides
+    lhs = sup_distance(apply(system, f), apply(system, g))
+    assert lhs <= contractivity(system) * sup_distance(f, g) + 1e-12
+
+
+@SETTINGS
+@hypothesis.given(sample=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=2, max_size=30,
+                                  unique=True))
+def test_edf_is_the_fixed_point(sample):
+    # T E = E with c = 1/n < 1, so E is the unique fixed point
+    edf = edf_from_sample(sample)
+    assert sup_distance(apply(edf_ifs(sample), edf), edf) <= 1e-12
+
+
+@st.composite
+def problems(draw):
+    system = draw(systems())
+    return CollageProblem(draw(grid_dfs()), system.maps, system.delta, grid_size=64)
+
+
+@SETTINGS
+@hypothesis.given(problem=problems(), data=st.data())
+def test_collage_distance_is_convex(problem, data):
+    p1, p2 = (data.draw(_floats(-1.0, 2.0, problem.k)) for _ in range(2))
+    lam = data.draw(st.floats(0.0, 1.0))
+    lhs, rhs = convexity_witness(problem, p1, p2, lam)
+    assert lhs <= rhs + 1e-12
+
+
+@SETTINGS
+@hypothesis.given(problem=problems(), data=st.data())
+def test_solution_beats_feasible_weights(problem, data):
+    raw = data.draw(_floats(0.0, 1.0, problem.k))
+    hypothesis.assume(raw.sum() > 0.0)
+    p = raw / raw.sum() * problem.weight_sum
+    d_star = collage_distance(problem, solve_inverse(problem).p_star)
+    assert d_star <= collage_distance(problem, p) + 1e-12

@@ -117,16 +117,6 @@ class TestRunTable:
             assert len(digits) <= 5
             float(cell)
 
-    def test_parallel_jobs_identical(self):
-        configs = [cfg(n=n, trials=6) for n in (10, 25)]
-        serial = run_table(configs, jobs=1).to_csv_text()
-        threaded = run_table(configs, jobs=4).to_csv_text()
-        assert serial == threaded
-
-    def test_jobs_below_one(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_table([cfg(trials=1)], jobs=0)
-
     def test_empty_config_list(self):
         with pytest.raises(ValueError, match="no configurations"):
             run_table([])
