@@ -16,7 +16,6 @@ from .distfn import (
     GridDF,
     UniformDF,
     edf_from_sample,
-    eval_left_limit,
     read_function_csv,
     read_sample_file,
     sup_distance,
@@ -75,7 +74,7 @@ from .sim import (
 __all__ = [
     "__version__",
     "DistributionFunction", "EmpiricalDF", "FuncDF", "GridDF", "UniformDF",
-    "edf_from_sample", "eval_left_limit", "sup_distance",
+    "edf_from_sample", "sup_distance",
     "read_sample_file", "read_function_csv", "write_function_csv",
     "AffineMap", "IfsSystem", "IteratedDF", "FixedPointResult",
     "validate", "apply", "iterate", "iterate_exact", "contractivity",

@@ -152,7 +152,7 @@ def _partition_maps(spec: str):
         xs = read_sample_file(spec[len("sample:"):] if is_sample else spec)
         if not is_sample and np.any(np.diff(xs) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        cuts = np.concatenate([[0.0], edf_from_sample(xs).sample, [1.0]])
+        cuts = edf_from_sample(xs).grid
     return _MapTable.on_cells(cuts, identity=True)
 
 

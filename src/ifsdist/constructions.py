@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distfn import DistributionFunction, _nonfinite_violation
+from .distfn import DistributionFunction, _checked_sample, edf_from_sample
 from .ifs import IfsSystem, _MapTable
 
 __all__ = [
@@ -26,18 +26,6 @@ __all__ = [
 ]
 
 
-def _checked_sample(sample, min_n: int) -> np.ndarray:
-    arr = np.sort(np.asarray(list(sample), float))
-    if arr.size < min_n:
-        raise ValueError(f"need at least {min_n} sample points, got {arr.size}")
-    problem = _nonfinite_violation("sample values", arr)
-    if problem:
-        raise ValueError(problem)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("sample values must lie strictly inside (0,1)")
-    return arr
-
-
 def edf_ifs(sample) -> IfsSystem:
     """Identity-partition system fixing the e.d.f. of a distinct sample.
 
@@ -46,11 +34,10 @@ def edf_ifs(sample) -> IfsSystem:
     solving u = p_i u + offset_i per cell gives exactly the e.d.f. steps.
     Requires n >= 2 so the system is contractive.
     """
-    xs = _checked_sample(sample, min_n=2)
-    if np.any(np.diff(xs) == 0.0):
-        raise ValueError("sample contains duplicate values")
-    n = len(xs)
-    cuts = np.concatenate([[0.0], xs, [1.0]])
+    cuts = edf_from_sample(sample).grid
+    n = len(cuts) - 2
+    if n < 2:
+        raise ValueError(f"need at least 2 sample points, got {n}")
     p = np.concatenate([[0.0], np.full(n, 1.0 / n)])
     delta = np.concatenate([[(n - 1) / n**2], np.full(n - 1, -1.0 / n**2)])
     return IfsSystem(_MapTable.on_cells(cuts, identity=True), p, delta)
@@ -142,7 +129,7 @@ def quantile_estimator(sample, k: int) -> IfsSystem:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    arr = _checked_sample(sample, min_n=2)
+    arr = _checked_sample(sample)
     n = len(arr)
     if k >= n:
         raise ValueError(f"k = {k} must be smaller than the sample size {n}")

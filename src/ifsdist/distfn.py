@@ -1,12 +1,15 @@
 """Distribution functions on [0,1] and sup-norm distances between them.
 
 Every distribution function handled here is a non-decreasing,
-right-continuous map F: [0,1] -> [0,1] with F(0) = 0 and F(1) = 1.
-Concrete carriers:
+right-continuous map F: [0,1] -> [0,1] with F(0) = 0 and F(1) = 1.  A
+carrier defines ``eval_array`` (values at an array of points), and
+``eval_left_array`` (left limits) too if it jumps; ``eval`` and
+``eval_left_limit`` are one-point wrappers of the two.  Concrete carriers:
 
-- :class:`UniformDF` / :class:`FuncDF` -- analytic (callable) functions,
-- :class:`EmpiricalDF` -- right-continuous step function of a sample,
-- :class:`GridDF` -- values on a breakpoint grid, step or linear mode.
+- :class:`UniformDF` / :class:`FuncDF` -- analytic functions; FuncDF takes a
+  function on arrays (wrap a scalar one in ``np.vectorize``),
+- :class:`GridDF` -- values on a breakpoint grid, step or linear mode,
+- :class:`EmpiricalDF` -- the step GridDF of a sample.
 
 ``sup_distance`` evaluates on a finite point set (an equally spaced grid
 united with all known breakpoints and their left limits), so it is a lower
@@ -29,7 +32,6 @@ __all__ = [
     "GridDF",
     "edf_from_sample",
     "sup_distance",
-    "eval_left_limit",
     "read_sample_file",
     "write_function_csv",
     "read_function_csv",
@@ -37,25 +39,21 @@ __all__ = [
 
 
 class DistributionFunction:
-    """Base contract: ``eval`` maps [0,1] into [0,1], monotone, F(0)=0, F(1)=1."""
-
-    def eval(self, x: float) -> float:
-        raise NotImplementedError
+    """Base contract: F maps [0,1] into [0,1], monotone, F(0)=0, F(1)=1."""
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.eval(float(x)) for x in np.asarray(xs, float)])
-
-    def eval_left_limit(self, x: float) -> float:
-        """Limit of F from the left; equals eval(x) for continuous carriers.
-
-        By convention the left limit at 0 is 0.
-        """
-        if x <= 0.0:
-            return 0.0
-        return self.eval(x)
+        raise NotImplementedError
 
     def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.eval_left_limit(float(x)) for x in np.asarray(xs, float)])
+        """Left limits: the values of a continuous carrier, and 0 at x <= 0."""
+        xs = np.asarray(xs, float)
+        return np.where(xs <= 0.0, 0.0, self.eval_array(xs))
+
+    def eval(self, x: float) -> float:
+        return float(self.eval_array(np.array([float(x)]))[0])
+
+    def eval_left_limit(self, x: float) -> float:
+        return float(self.eval_left_array(np.array([float(x)]))[0])
 
     def breakpoints(self) -> np.ndarray:
         """Known jump/kink locations in (0,1); empty for smooth carriers."""
@@ -68,74 +66,30 @@ class DistributionFunction:
 class UniformDF(DistributionFunction):
     """The uniform distribution function F(x) = x."""
 
-    def eval(self, x: float) -> float:
-        return float(x)
-
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(xs, float).astype(float, copy=True)
+        return np.array(xs, float)
 
     def __repr__(self) -> str:
         return "UniformDF()"
 
 
 class FuncDF(DistributionFunction):
-    """Analytic distribution function wrapping a callable.
+    """Analytic distribution function wrapping a function on arrays.
 
-    The callable must be continuous, non-decreasing on [0,1] and satisfy
-    fn(0) = 0, fn(1) = 1; this is not verified pointwise.  Set
-    ``vectorized=True`` when ``fn`` accepts numpy arrays.
+    ``fn`` maps an array of points to their values.  It must be continuous,
+    non-decreasing on [0,1] and satisfy fn(0) = 0, fn(1) = 1; this is not
+    verified pointwise.  A scalar function can be wrapped in ``np.vectorize``.
     """
 
-    def __init__(self, fn, vectorized: bool = False, name: str = "FuncDF"):
+    def __init__(self, fn, name: str = "FuncDF"):
         self._fn = fn
-        self._vectorized = vectorized
         self._name = name
 
-    def eval(self, x: float) -> float:
-        return float(self._fn(x))
-
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, float)
-        if self._vectorized:
-            return np.asarray(self._fn(xs), float)
-        return np.array([float(self._fn(x)) for x in xs])
+        return np.asarray(self._fn(np.asarray(xs, float)), float)
 
     def __repr__(self) -> str:
         return f"{self._name}"
-
-
-class EmpiricalDF(DistributionFunction):
-    """Empirical distribution function of a sample in (0,1).
-
-    eval(x) = (number of sample points <= x) / n, right-continuous.
-    Use :func:`edf_from_sample` to construct with validation.
-    """
-
-    def __init__(self, sample: np.ndarray):
-        sample = np.asarray(sample, float)
-        self.sample = np.sort(sample)
-        self.sample.flags.writeable = False
-        self.n = len(sample)
-
-    def eval(self, x: float) -> float:
-        return float(np.searchsorted(self.sample, x, side="right")) / self.n
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.sample, np.asarray(xs, float), side="right") / self.n
-
-    def eval_left_limit(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return float(np.searchsorted(self.sample, x, side="left")) / self.n
-
-    def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.sample, np.asarray(xs, float), side="left") / self.n
-
-    def breakpoints(self) -> np.ndarray:
-        return self.sample
-
-    def __repr__(self) -> str:
-        return f"EmpiricalDF(n={self.n})"
 
 
 class GridDF(DistributionFunction):
@@ -172,33 +126,51 @@ class GridDF(DistributionFunction):
         self.values = vals
         self.mode = mode
 
-    def eval(self, x: float) -> float:
-        return float(self.eval_array(np.array([x]))[0])
-
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, float)
-        if self.mode == "linear":
-            return np.interp(xs, self.grid, self.values)
-        idx = np.searchsorted(self.grid, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        return self.values[idx]
-
-    def eval_left_limit(self, x: float) -> float:
-        return float(self.eval_left_array(np.array([x]))[0])
+        return self._lookup(xs, "right")
 
     def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, float)
+        return np.where(xs <= 0.0, 0.0, self._lookup(xs, "left"))
+
+    def _lookup(self, xs, side: str) -> np.ndarray:
+        """Values at xs (side="right") or left limits above 0 (side="left")."""
+        xs = np.asarray(xs, float)
         if self.mode == "linear":
             return np.interp(xs, self.grid, self.values)
-        idx = np.searchsorted(self.grid, xs, side="left") - 1
-        out = self.values[np.clip(idx, 0, len(self.grid) - 1)]
-        return np.where(xs <= 0.0, 0.0, out)
+        idx = np.searchsorted(self.grid, xs, side=side) - 1
+        return self.values[np.maximum(idx, 0)]
 
     def breakpoints(self) -> np.ndarray:
         return self.grid[1:-1]
 
     def __repr__(self) -> str:
         return f"GridDF(points={len(self.grid)}, mode={self.mode!r})"
+
+
+class EmpiricalDF(GridDF):
+    """Empirical distribution function of a sample strictly inside (0,1).
+
+    The step GridDF on [0, the distinct sample points, 1] whose values are
+    the cumulative counts over n: F(x) = (number of sample points <= x) / n,
+    so a point that occurs r times is a jump of r/n.  Use
+    :func:`edf_from_sample` to construct with validation.
+    """
+
+    def __init__(self, sample: np.ndarray):
+        self.sample = np.sort(np.asarray(sample, float))
+        self.sample.flags.writeable = False
+        self.n = len(self.sample)
+        # index of the last occurrence of each distinct point; the grid and
+        # values are valid by construction, so GridDF's checks are skipped
+        last = np.flatnonzero(np.append(np.diff(self.sample) > 0.0, True))
+        self.grid = np.concatenate([[0.0], self.sample[last], [1.0]])
+        self.values = np.concatenate([[0.0], (last + 1) / self.n, [1.0]])
+        self.grid.flags.writeable = self.values.flags.writeable = False
+        self.mode = "step"
+
+    def __repr__(self) -> str:
+        return f"EmpiricalDF(n={self.n})"
 
 
 def _nonfinite_violation(name: str, values) -> str | None:
@@ -214,13 +186,10 @@ def _nonfinite_violation(name: str, values) -> str | None:
     return None
 
 
-def edf_from_sample(sample) -> EmpiricalDF:
-    """Build the empirical distribution function of a sample.
-
-    The sample must be non-empty, finite, strictly inside (0,1), and free of
-    duplicates; violations raise ValueError.
-    """
-    arr = np.sort(np.asarray(list(sample), float))
+def _checked_sample(sample) -> np.ndarray:
+    """The sample sorted, after checking that it is non-empty, finite and
+    strictly inside (0,1); violations raise ValueError."""
+    arr = np.sort(np.asarray(sample if isinstance(sample, np.ndarray) else list(sample), float))
     if arr.size == 0:
         raise ValueError("sample is empty")
     problem = _nonfinite_violation("sample values", arr)
@@ -228,6 +197,16 @@ def edf_from_sample(sample) -> EmpiricalDF:
         raise ValueError(problem)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("sample values must lie strictly inside (0,1)")
+    return arr
+
+
+def edf_from_sample(sample) -> EmpiricalDF:
+    """Build the empirical distribution function of a sample.
+
+    The sample must be non-empty, finite, strictly inside (0,1), and free of
+    duplicates; violations raise ValueError.
+    """
+    arr = _checked_sample(sample)
     if np.any(np.diff(arr) == 0.0):
         raise ValueError("sample contains duplicate values")
     return EmpiricalDF(arr)
@@ -260,11 +239,6 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
         dl = float(np.max(np.abs(f.eval_left_array(interior) - g.eval_left_array(interior))))
         d = max(d, dl)
     return d
-
-
-def eval_left_limit(f: DistributionFunction, x: float) -> float:
-    """Left limit of a distribution function at x (0 by convention at x=0)."""
-    return f.eval_left_limit(x)
 
 
 def read_sample_file(path) -> np.ndarray:

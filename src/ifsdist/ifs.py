@@ -323,30 +323,35 @@ def perturbation_bound(p, p_star, c: float) -> float:
 def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
     """Cell index and preimage of every point: returns (idx, w_idx^{-1}(y)).
 
-    Each point belongs to the map whose target interval [c_i, d_i) holds it.
+    Each point belongs to the map whose target interval [c_i, d_i) holds it,
+    and a point on a target start pulls back to that map's source start.
     For left limits (``left=True``) a point sitting exactly on a target start
     belongs to the interval to its left and pulls back to that map's source
     end.  The map arithmetic can land a few ulps on either side of the true
     preimage; when that preimage is a breakpoint of the function being
     pulled back, the side decides the value.  So right values resolve
     at-or-above the true preimage (right continuity) and left limits below
-    it.  Identity maps pull back exactly and are left alone.
+    it, but never onto or past the end of the half-open source: right values
+    stay below b_i and left limits above a_i.  Identity maps pull back
+    exactly and are left alone.
     """
     starts = table.starts
     idx = np.searchsorted(starts, ys, side="right") - 1
     np.clip(idx, 0, len(starts) - 1, out=idx)
+    on_start = starts[idx] == ys
     if left:
-        on_boundary = (idx > 0) & (starts[idx] == ys)
-        idx -= on_boundary
+        on_start &= idx > 0
+        idx -= on_start
+    a, b = table.a[idx], table.b[idx]
     pulled = (ys - table.intercept[idx]) / table.slope[idx]
     inexact = ~table.exact[idx]
     if np.any(inexact):
         step = 4.0 * np.spacing(np.maximum(np.abs(pulled), 1e-300))
-        pulled = np.where(inexact, pulled - step if left else pulled + step, pulled)
-    pulled = np.clip(pulled, table.a[idx], table.b[idx])
-    if left:
-        pulled = np.where(on_boundary, table.b[idx], pulled)
-    return idx, pulled
+        nudged = (np.maximum(pulled - step, np.nextafter(a, 1.0)) if left
+                  else np.minimum(pulled + step, np.nextafter(b, 0.0)))
+        pulled = np.where(inexact, nudged, pulled)
+    pulled = np.clip(pulled, a, b)
+    return idx, np.where(on_start, b if left else a, pulled)
 
 
 def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False,
@@ -380,9 +385,6 @@ class IteratedDF(DistributionFunction):
         self.depth = int(depth)
         self._bps: np.ndarray | None = None
 
-    def eval(self, x: float) -> float:
-        return float(self.eval_array(np.array([float(x)]))[0])
-
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         amp, off, y, _ = _walk(self.system, xs, self.depth)
         vals = amp * self.u0.eval_array(y) + off
@@ -391,12 +393,12 @@ class IteratedDF(DistributionFunction):
         vals[xs >= 1.0] = 1.0
         return vals
 
-    def eval_left_limit(self, x: float) -> float:
-        return float(self.eval_left_array(np.array([float(x)]))[0])
-
     def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
         amp, off, y, _ = _walk(self.system, xs, self.depth, left=True)
-        return amp * self.u0.eval_left_array(y) + off
+        vals = amp * self.u0.eval_left_array(y) + off
+        # 0 by convention at x <= 0, where the preimages sit just above a_0
+        vals[np.asarray(xs, float) <= 0.0] = 0.0
+        return vals
 
     def breakpoints(self) -> np.ndarray:
         """The start's breakpoints and the cell boundaries, carried through

@@ -9,8 +9,9 @@ finite evaluation set:
   cell, so the sup sits at cell endpoints and their left limits -- two
   constraint rows per cell, and D is the true sup;
 - grid mode (general maps): rows are sampled on a uniform grid united with
-  all map-image and target breakpoints, a right-value row at every point and
-  a left-limit row at every point above 0, a lower bound on the true sup.
+  all map-image and target breakpoints, a right-value row at every point
+  below 1 and a left-limit row at every point above 0, a lower bound on the
+  true sup.
   The rows pull their points back with the operator's own kernel
   (:func:`ifsdist.ifs._pullback`), so each row is T_p F - F as ``apply``
   evaluates it, on either side of a jump, up to summation round-off.
@@ -115,17 +116,18 @@ class CollageProblem:
             pts += [bps, table.images(bps)]
         xs = np.unique(np.concatenate(pts))
         xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-        # a right-value row at every x, then a left-limit row at every x > 0
-        xl = xs[xs > 0.0]
-        cell_r, pulled_r = _pullback(table, xs)
+        # a right-value row at every x < 1, then a left-limit row at every
+        # x > 0; T_p F(1) = 1 = F(1) would only restate sum p = weight_sum
+        xr, xl = xs[xs < 1.0], xs[xs > 0.0]
+        cell_r, pulled_r = _pullback(table, xr)
         cell_l, pulled_l = _pullback(table, xl, left=True)
         cell = np.concatenate([cell_r, cell_l])
         w = np.concatenate([target.eval_array(pulled_r), target.eval_left_array(pulled_l)])
-        f_right = target.eval_array(xs)
+        f_right = target.eval_array(xr)
         f = np.concatenate([f_right, target.eval_left_array(xl)])
-        self._start_values = f_right[np.searchsorted(xs, table.starts)]
-        spot_x = np.concatenate([xs, xl])
-        is_left = np.arange(len(cell)) >= len(xs)
+        self._start_values = f_right[np.searchsorted(xr, table.starts)]
+        spot_x = np.concatenate([xr, xl])
+        is_left = np.arange(len(cell)) >= len(xr)
         order = np.lexsort((is_left, spot_x))
         self._set_rows(cell[order], w[order], f[order],
                        zip(spot_x[order].tolist(), is_left[order].tolist()))

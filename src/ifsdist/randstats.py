@@ -335,10 +335,6 @@ class BetaDF(DistributionFunction):
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return _reg_inc_beta(self.params.alpha, self.params.beta, xs)
 
-    def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, float)
-        return np.where(xs <= 0.0, 0.0, self.eval_array(xs))
-
     def __repr__(self) -> str:
         return f"BetaDF({self.params.alpha}, {self.params.beta})"
 

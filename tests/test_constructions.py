@@ -21,7 +21,7 @@ from ifsdist import (
     validate,
 )
 
-BETA22_POLY = FuncDF(lambda x: 3.0 * x**2 - 2.0 * x**3, vectorized=True)
+BETA22_POLY = FuncDF(lambda x: 3.0 * x**2 - 2.0 * x**3)
 
 
 def poly_root(level, lo=0.0, hi=1.0):

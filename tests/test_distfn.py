@@ -2,22 +2,26 @@ import numpy as np
 import pytest
 
 from ifsdist import (
+    AffineMap,
+    BetaDF,
+    BetaParams,
     EmpiricalDF,
     FuncDF,
     GridDF,
+    IfsSystem,
     UniformDF,
     edf_from_sample,
-    eval_left_limit,
+    iterate_exact,
     read_function_csv,
     read_sample_file,
     sup_distance,
     write_function_csv,
 )
 
-from conftest import random_linear_df, random_step_df
+from conftest import random_contractive_system, random_linear_df, random_step_df
 
 # Beta(2,2) CDF closed form (density 6x(1-x) integrated symbolically)
-BETA22_POLY = FuncDF(lambda x: 3.0 * x**2 - 2.0 * x**3, vectorized=True)
+BETA22_POLY = FuncDF(lambda x: 3.0 * x**2 - 2.0 * x**3)
 # max |3x^2-2x^3 - x| is attained at 1/2 +- sqrt(3)/6 with value sqrt(3)/18
 BETA22_VS_UNIFORM_SUP = 0.09622504486493763
 
@@ -71,6 +75,59 @@ class TestEmpiricalDF:
             assert np.all((counts > -0.5) & (counts < f.n + 0.5))
 
 
+def searchsorted_edf(sample, xs, side):
+    """Oracle: the e.d.f. as a count of sorted sample points, (<= x)/n for
+    side="right" and (< x)/n for side="left"."""
+    return np.searchsorted(np.sort(sample), xs, side=side) / len(sample)
+
+
+CARRIERS = {
+    "uniform": lambda rng: UniformDF(),
+    "func": lambda rng: BETA22_POLY,
+    "edf-ties": lambda rng: EmpiricalDF(np.round(rng.uniform(0.06, 0.94, 30), 1)),
+    "grid-step": random_step_df,
+    "grid-linear": random_linear_df,
+    "beta": lambda rng: BetaDF(BetaParams(2, 5)),
+    "iterate": lambda rng: iterate_exact(random_contractive_system(rng), random_step_df(rng), 2),
+    # a heavy first map: its left-limit preimages of x <= 0 sit on the
+    # least double above 0, and 0.7 of it rounds up to that double again
+    "iterate-uniform": lambda rng: iterate_exact(
+        IfsSystem([AffineMap.from_intervals((0.0, 1.0), (0.0, 0.3)),
+                   AffineMap.from_intervals((0.0, 1.0), (0.3, 1.0))], [0.7, 0.3], [0.0]),
+        UniformDF(), 1),
+}
+
+
+class TestCarrierContract:
+    @pytest.mark.parametrize("kind", sorted(CARRIERS))
+    def test_one_point_and_left_limits(self, kind):
+        rng = np.random.default_rng(17)
+        f = CARRIERS[kind](rng)
+        bps = f.breakpoints()
+        xs = np.unique(np.concatenate([[0.0, 1.0], bps, np.nextafter(bps, 0.0),
+                                       rng.uniform(0.0, 1.0, 40)]))
+        vals, lefts = f.eval_array(xs), f.eval_left_array(xs)
+        for x, v, lv in zip(xs, vals, lefts):
+            assert f.eval(x) == v and f(x) == v
+            assert f.eval_left_limit(x) == lv
+        # the iterate walks its left limits on their own pullback chain
+        assert np.all(lefts <= vals + 1e-12)
+        assert np.all(f.eval_left_array(np.array([-0.5, -0.0, 0.0])) == 0.0)
+
+    def test_empirical_matches_counting_oracle(self):
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            sample = rng.uniform(0.06, 0.94, int(rng.integers(1, 60)))
+            if trial % 3 == 0:  # ties: a point that occurs r times jumps by r/n
+                sample = np.round(sample, 1)
+            f = EmpiricalDF(sample)
+            xs = np.concatenate([sample, np.nextafter(sample, 0.0), np.nextafter(sample, 1.0),
+                                 rng.uniform(0.0, 1.0, 20), [0.0, 1.0]])
+            assert f.eval_array(xs).tobytes() == searchsorted_edf(sample, xs, "right").tobytes()
+            assert f.eval_left_array(xs).tobytes() == searchsorted_edf(sample, xs, "left").tobytes()
+            assert f.n == len(sample) and repr(f) == f"EmpiricalDF(n={len(sample)})"
+
+
 class TestLeftLimits:
     def test_step_left_limit(self):
         f = edf_from_sample([0.5])
@@ -82,7 +139,7 @@ class TestLeftLimits:
     def test_two_point_left_limit(self):
         # one of two points strictly below 0.7
         f = edf_from_sample([0.3, 0.7])
-        assert eval_left_limit(f, 0.7) == pytest.approx(0.5, abs=0)
+        assert f.eval_left_limit(0.7) == pytest.approx(0.5, abs=0)
 
     def test_left_limit_at_zero_is_zero(self):
         for f in (UniformDF(), edf_from_sample([0.5])):

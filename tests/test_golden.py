@@ -50,8 +50,8 @@ def test_sample_beta_bytes(key):
 # Every other subcommand, on a fixed 25-point sample (see _sample_file).
 CLI_SHA256 = {
     "edf-ifs": "2cdfdc624e72bda5b3db7d7a39068da72be1d40fbfc29891fbb69ca8531400f2",
-    "approximate": "81d17248fe131d3c6097e09d3465dc5121d4d938877050577647561996d43fe2",
-    "estimate": "54019fe5efb64d7d1c63531ac54201a18c59587e4a9251bd5b605f788ab5ff63",
+    "approximate": "a846962541ab30baae4530fbe69e7c8ab5a0c6a963aa82167b9be93035c4e812",
+    "estimate": "4d435555a7ae3cc7a8153ba44d256f534e2087733cf72f4e096d26ac44184824",
     "simulate-exact-sup": "8e288605f65cea1aedefe5fd6042ba5feae21fd0b39e4d05a2e385af1d28e21a",
 }
 

@@ -240,6 +240,26 @@ class TestApply:
             assert tf.eval(x) == pytest.approx(p * 0.6 + off, abs=1e-13)
             assert tf.eval_left_limit(x) == pytest.approx(p * 0.0 + off, abs=1e-13)
 
+    def test_right_nudge_stays_below_the_source_end(self):
+        # w_2 sends [0,1) onto [.5, .7500000000000001), so w_2^{-1}(0.75) < 1
+        # and F there is 0, not its value 1 at the jump at 1
+        cuts = [0.0, 0.25, 0.5, 0.7500000000000001, 1.0]
+        maps = [AffineMap.from_intervals((0.0, 1.0), (cuts[i], cuts[i + 1])) for i in range(4)]
+        system = IfsSystem(maps, (0.25,) * 4, (0.0,) * 3)
+        tf = apply(system, GridDF([0.0, 0.02, 1.0], [0.0, 0.0, 1.0], mode="step"))
+        assert tf.eval(0.75) == 0.5
+        assert tf.eval(0.0) == 0.0  # a target start pulls back to its source start
+
+    def test_left_nudge_stays_above_the_source_start(self):
+        # w_1 sends [.5,1) onto [.3,1); just above .3 the preimage is above
+        # the jump of F at .5, so the left limit reads F = 0.6 there
+        maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.3)),
+                AffineMap.from_intervals((0.5, 1.0), (0.3, 1.0))]
+        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
+        tf = apply(system, GridDF([0.0, 0.5, 1.0], [0.0, 0.6, 1.0], mode="step"))
+        assert tf.eval_left_limit(np.nextafter(0.3, 1.0)) == 0.5 + 0.5 * 0.6
+        assert tf.eval_left_limit(0.3) == 0.5 * 0.6
+
     def test_closure_monotone_right_continuous(self):
         rng = np.random.default_rng(37)
         for _ in range(25):

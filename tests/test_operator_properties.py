@@ -71,9 +71,7 @@ def test_image_is_a_distribution_function(system, f):
     tf = apply(system, f)
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), tf.breakpoints()]))
     vals = tf.eval_array(xs)
-    # a contractive map pulls 0 back to a denormal (the right-side nudge of
-    # _pullback), so T F(0) is 0 only up to the shared tolerance
-    assert abs(vals[0]) <= 1e-12 and vals[-1] == 1.0
+    assert vals[0] == 0.0 and vals[-1] == 1.0
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12))
     assert np.all(tf.eval_left_array(xs[1:]) <= vals[1:] + 1e-12)
