@@ -110,12 +110,11 @@ def _order_ranks(levels, n: int) -> np.ndarray:
 
 def empirical_quantile(sample, level: float) -> float:
     """Left-continuous empirical quantile: the ceil(level*n)-th order statistic
-    (see :func:`_order_ranks` for the rounding rule)."""
+    (see :func:`_order_ranks` for the rounding rule) of a non-empty, finite
+    sample strictly inside (0,1)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"quantile level {level} outside (0,1)")
-    arr = np.sort(np.asarray(list(sample), float))
-    if arr.size == 0:
-        raise ValueError("sample is empty")
+    arr = _checked_sample(sample)
     return float(arr[_order_ranks(level, arr.size) - 1])
 
 

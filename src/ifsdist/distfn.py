@@ -153,12 +153,13 @@ class EmpiricalDF(GridDF):
 
     The step GridDF on [0, the distinct sample points, 1] whose values are
     the cumulative counts over n: F(x) = (number of sample points <= x) / n,
-    so a point that occurs r times is a jump of r/n.  Use
-    :func:`edf_from_sample` to construct with validation.
+    so a point that occurs r times is a jump of r/n.  The sample must be
+    non-empty, finite and strictly inside (0,1); unlike
+    :func:`edf_from_sample`, it may hold ties.
     """
 
     def __init__(self, sample: np.ndarray):
-        self.sample = np.sort(np.asarray(sample, float))
+        self.sample = _checked_sample(sample)
         self.sample.flags.writeable = False
         self.n = len(self.sample)
         # index of the last occurrence of each distinct point; the grid and
@@ -206,10 +207,10 @@ def edf_from_sample(sample) -> EmpiricalDF:
     The sample must be non-empty, finite, strictly inside (0,1), and free of
     duplicates; violations raise ValueError.
     """
-    arr = _checked_sample(sample)
-    if np.any(np.diff(arr) == 0.0):
+    edf = EmpiricalDF(sample)
+    if np.any(np.diff(edf.sample) == 0.0):
         raise ValueError("sample contains duplicate values")
-    return EmpiricalDF(arr)
+    return edf
 
 
 def _merged_points(grid_size: int, *point_sets) -> np.ndarray:

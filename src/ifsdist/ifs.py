@@ -311,6 +311,10 @@ def perturbation_bound(p, p_star, c: float) -> float:
     p_star = np.asarray(p_star, float)
     if p.shape != p_star.shape:
         raise ValueError("weight vectors must have equal length")
+    for name, values in (("p", p), ("p_star", p_star)):
+        problem = _nonfinite_violation(name, values)
+        if problem:
+            raise ValueError(problem)
     if not c < 1.0:
         raise ValueError(f"contractivity constant must be < 1, got {c}")
     return float(np.sum(np.abs(p - p_star)) / (1.0 - c))
@@ -486,7 +490,7 @@ def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
     certified on the mesh points (right values and left limits) only: both
     distances are maxima over the mesh, not the sup over [0,1].
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     system.require_valid()
     c = contractivity(system)

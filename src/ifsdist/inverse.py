@@ -3,23 +3,22 @@ weight simplex C = {p >= 0, sum p = 1 - sum delta}.
 
 With maps and offsets fixed, T_p F(x) - F(x) is affine in p at every x, so
 D is a maximum of finitely many |affine| terms once the sup is reduced to a
-finite evaluation set:
+finite point set.  One assembly builds the rows from that set: a right-value
+row at every point below 1 and a left-limit row at every point above 0,
+pulled back with the operator's own kernel (:func:`ifsdist.ifs._pullback`),
+so each row is T_p F - F as ``apply`` evaluates it, on either side of a
+jump, up to summation round-off.  The two modes differ only in the points:
 
-- exact mode (identity partitions): the difference is monotone in F on each
-  cell, so the sup sits at cell endpoints and their left limits -- two
-  constraint rows per cell, and D is the true sup;
-- grid mode (general maps): rows are sampled on a uniform grid united with
-  all map-image and target breakpoints, a right-value row at every point
-  below 1 and a left-limit row at every point above 0, a lower bound on the
-  true sup.
-  The rows pull their points back with the operator's own kernel
-  (:func:`ifsdist.ifs._pullback`), so each row is T_p F - F as ``apply``
-  evaluates it, on either side of a jump, up to summation round-off.
+- exact mode (identity partitions): the cells' starts and ends.  On a cell
+  T_p F - F is affine in F(x), so its sup sits at the cell's start (right
+  value) or end (left limit): two rows per cell, and D is the true sup;
+- grid mode (general maps): those points united with a uniform grid, the
+  target's breakpoints and their map images, a lower bound on the true sup.
 
-In both modes a row whose point lies in cell i reads
-(1 - w) P_i + w P_{i+1} - c, with P_i = sum_{j<i} p_j the cumulative weights,
-w = F at the point's preimage and c = F at the point minus sum_{j<i} delta_j.
-A problem stores its rows as the three arrays (cell, w, c).
+A row whose point lies in cell i reads (1 - w) P_i + w P_{i+1} - c, with
+P_i = sum_{j<i} p_j the cumulative weights, w = F at the point's preimage
+and c = F at the point minus sum_{j<i} delta_j.  A problem stores its rows
+as the three arrays (cell, w, c), ordered by cell, point and side.
 
 Minimizing max |row| over C is the linear program min t s.t. |row| <= t,
 p in C, and one chain solver serves both modes.  A row involves only
@@ -60,13 +59,13 @@ class LpError(ValueError):
 class CollageProblem:
     """Inverse problem: fixed target F, maps and offsets; free weights p.
 
-    ``mode`` is auto-selected: "exact" for identity partitions (endpoint
-    reduction, exact sup), "grid" otherwise.  The constraint rows, with
-    D(p) = max |row(p)|, are assembled once at construction.
+    ``mode`` is derived: "exact" if every map is the identity (rows at the
+    cells' ends only, exact sup), "grid" otherwise (``grid_size`` uniform
+    points added).  The rows, with D(p) = max |row(p)|, are assembled once;
+    ``eval_spots`` holds each row's (x, is_left_limit).
     """
 
-    def __init__(self, target: DistributionFunction, maps, delta,
-                 mode: str | None = None, grid_size: int = 512):
+    def __init__(self, target: DistributionFunction, maps, delta, grid_size: int = 512):
         self._table = _MapTable.of(maps)
         self.delta = np.asarray(delta, float).copy()
         self.delta.flags.writeable = False
@@ -80,14 +79,7 @@ class CollageProblem:
             raise ValueError(
                 f"1 - sum(delta) = {self.weight_sum} must be positive for a usable simplex"
             )
-        identity = bool(self._table.exact.all())
-        if mode is None:
-            mode = "exact" if identity else "grid"
-        if mode == "exact" and not identity:
-            raise ValueError("exact mode requires identity-partition maps")
-        if mode not in ("exact", "grid"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+        self.mode = "exact" if self._table.exact.all() else "grid"
         self.grid_size = int(grid_size)
         self._assemble()
 
@@ -99,49 +91,35 @@ class CollageProblem:
 
     def _assemble(self) -> None:
         target, table = self.target, self._table
-        if self.mode == "exact":
-            # row 2i is T_p F - F at a_i, row 2i+1 its left limit at b_i,
-            # with w = f = F(a_i), F(b_i-)
-            k = self.k
-            w = np.empty(2 * k)
-            w[0::2] = target.eval_array(table.a)
-            w[1::2] = target.eval_left_array(table.b)
-            self._start_values = w[0::2]
-            spots = zip(np.column_stack([table.a, table.b]).ravel().tolist(), [False, True] * k)
-            self._set_rows(np.repeat(np.arange(k), 2), w, w, spots)
-            return
-        pts = [np.linspace(0.0, 1.0, self.grid_size), table.starts, table.ends]
-        bps = np.asarray(target.breakpoints(), float)
-        if bps.size:
-            pts += [bps, table.images(bps)]
+        pts = [table.starts, table.ends]
+        if self.mode == "grid":
+            pts.append(np.linspace(0.0, 1.0, self.grid_size))
+            bps = np.asarray(target.breakpoints(), float)
+            if bps.size:
+                pts += [bps, table.images(bps)]
         xs = np.unique(np.concatenate(pts))
         xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-        # a right-value row at every x < 1, then a left-limit row at every
+        # a right-value row at every x < 1 and a left-limit row at every
         # x > 0; T_p F(1) = 1 = F(1) would only restate sum p = weight_sum
         xr, xl = xs[xs < 1.0], xs[xs > 0.0]
         cell_r, pulled_r = _pullback(table, xr)
         cell_l, pulled_l = _pullback(table, xl, left=True)
-        cell = np.concatenate([cell_r, cell_l])
-        w = np.concatenate([target.eval_array(pulled_r), target.eval_left_array(pulled_l)])
-        f_right = target.eval_array(xr)
-        f = np.concatenate([f_right, target.eval_left_array(xl)])
-        self._start_values = f_right[np.searchsorted(xr, table.starts)]
-        spot_x = np.concatenate([xr, xl])
-        is_left = np.arange(len(cell)) >= len(xr)
-        order = np.lexsort((is_left, spot_x))
-        self._set_rows(cell[order], w[order], f[order],
-                       zip(spot_x[order].tolist(), is_left[order].tolist()))
-
-    def _set_rows(self, cell: np.ndarray, w: np.ndarray, f: np.ndarray, spots) -> None:
-        """Row m reads (1 - w) P_i + w P_{i+1} - c with i = cell[m], w = F at
-        the preimage and c = f - sum_{j<i} delta_j, f = F at the row's point."""
+        nr, nl = len(xr), len(xl)
+        right = target.eval_array(np.concatenate([pulled_r, xr]))
+        left = target.eval_left_array(np.concatenate([pulled_l, xl]))
+        cell, x = np.concatenate([cell_r, cell_l]), np.concatenate([xr, xl])
+        is_left = np.arange(nr + nl) >= nr
+        order = np.lexsort((is_left, x, cell))
+        w = np.concatenate([right[:nr], left[:nl]])[order]
         if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
             raise ValueError("target values must lie in [0,1]")
         cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
-        self._cell, self._w, self._c = cell, w, f - cum_delta[cell]
+        self._cell, self._w = cell[order], w
+        self._c = np.concatenate([right[nr:], left[nl:]])[order] - cum_delta[self._cell]
         for arr in (self._cell, self._w, self._c):
             arr.flags.writeable = False
-        self.eval_spots = tuple(spots)  # (x, is_left_limit) per constraint row
+        self._start_values = right[nr:][np.searchsorted(xr, table.starts)]
+        self.eval_spots = tuple(zip(x[order].tolist(), is_left[order].tolist()))
 
     def residuals(self, p) -> np.ndarray:
         """Signed values T_p F - F at every constraint point, affine in p."""
@@ -165,7 +143,7 @@ def collage_distance(problem: CollageProblem, p) -> float:
 
 def collage_bound(epsilon: float, c: float) -> float:
     """Fixed-point distance guarantee epsilon/(1-c) from a collage distance."""
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be non-negative")
     if not c < 1.0:
         raise ValueError(f"contractivity constant must be < 1, got {c}")

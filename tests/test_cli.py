@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifsdist
 from ifsdist import (
     AffineMap,
     BetaDF,
@@ -261,3 +266,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--help"])
         assert exc.value.code == 0
+
+
+def test_subcommands_import_no_test_oracle(sample_file, tmp_path):
+    # scipy, mpmath and hypothesis check the package in tests only; a fresh
+    # interpreter that runs every subcommand must never have imported them
+    path, _ = sample_file
+    runs = [
+        ["approximate", "--dist", "beta:2,2", "--points", "3", "--out", "a.csv"],
+        ["edf-ifs", "--sample", str(path), "--out", "e.json"],
+        ["invert", "--target", f"edf:{path}", "--partition", "auto:5", "--out", "i.json"],
+        ["estimate", "--sample", str(path), "--k", "4", "--out", "q.csv"],
+        ["simulate", "--dist", "beta:2,5", "--n", "10", "--trials", "2", "--exact-sup",
+         "--out", "s.csv"],
+    ]
+    script = ("import json, sys\n"
+              "from ifsdist.cli import cli_main\n"
+              "codes = [cli_main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m.split('.')[0] for m in sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdist.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    codes, modules = json.loads(done.stdout)
+    assert codes == [0] * len(runs)
+    assert not {"scipy", "mpmath", "hypothesis"} & set(modules)

@@ -287,3 +287,9 @@ class TestEmpiricalQuantile:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty"):
             empirical_quantile([], 0.5)
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 0.2, 0.5], [0.0, 0.5], [0.5, 1.0]])
+    def test_sample_is_checked_like_the_estimators(self, bad):
+        # np.sort puts a NaN last, where a high level would read it
+        with pytest.raises(ValueError, match="finite|strictly inside"):
+            empirical_quantile(bad, 0.9)

@@ -64,6 +64,12 @@ class TestEmpiricalDF:
         with pytest.raises(ValueError, match="finite"):
             edf_from_sample([0.2, bad, 0.5])
 
+    @pytest.mark.parametrize("bad", [[0.0, 0.5], [0.5, 1.0], [float("nan")], []])
+    def test_constructor_validates_its_sample(self, bad):
+        # a point at 0 or 1 would make the grid [0, 0, 0.5, 1], not increasing
+        with pytest.raises(ValueError, match="strictly inside|finite|empty"):
+            EmpiricalDF(bad)
+
     def test_counts_are_integers(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -393,6 +393,9 @@ class TestFixedPoint:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError, match="positive"):
             fixed_point(two_cell_identity(), tol=0.0)
+        # NaN fails every comparison, so a check written as tol <= 0 passes it
+        with pytest.raises(ValueError, match="positive"):
+            fixed_point(two_cell_identity(), tol=float("nan"))
 
 
 class TestPerturbation:
@@ -407,6 +410,10 @@ class TestPerturbation:
             perturbation_bound([0.5], [0.4, 0.6], 0.5)
         with pytest.raises(ValueError, match="< 1"):
             perturbation_bound([0.5, 0.5], [0.4, 0.6], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            perturbation_bound([float("nan"), 0.5], [0.4, 0.6], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            perturbation_bound([0.5, 0.5], [0.4, float("inf")], 0.5)
 
     def test_dominates_measured_distance(self):
         rng = np.random.default_rng(67)

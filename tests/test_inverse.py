@@ -124,6 +124,22 @@ class TestCollageDistance:
                             image.eval_array(xs) - target.eval_array(xs))
             np.testing.assert_allclose(problem.residuals(system.p), want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", range(8))
+    def test_rows_are_ordered_by_cell_point_and_side(self, case):
+        rng = np.random.default_rng((53, case))
+        if case % 2:
+            problem = random_grid_problem(case)
+        else:
+            system = random_identity_system(rng, k_range=(2, 12), negative_delta=case % 4 == 0)
+            problem = CollageProblem(random_step_df(rng), system.maps, system.delta)
+            # exact mode: the right value at a_i, then the left limit at b_i
+            table = problem._table
+            want = np.column_stack([table.a, table.b]).ravel().tolist()
+            assert problem.eval_spots == tuple(zip(want, [False, True] * system.k))
+        keys = [(cell, x, left) for cell, (x, left) in
+                zip(problem._cell.tolist(), problem.eval_spots)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
 
 class TestSolveInverse:
     def test_single_point_solution_sweep(self):
@@ -154,19 +170,26 @@ class TestSolveInverse:
         values = np.max(np.abs(draws @ a_mat.T + b_vec), axis=1)
         assert sol.d_star <= float(values.min()) + 1e-9
 
-    def test_exact_and_grid_modes_agree(self):
-        rng = np.random.default_rng(19)
-        for _ in range(5):
-            cuts = random_cuts(rng, int(rng.integers(2, 6)))
-            target = BetaDF(BetaParams(2, 2))
-            maps = [AffineMap.identity(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-            exact = CollageProblem(target, maps, np.zeros(len(maps) - 1), mode="exact")
-            grid = CollageProblem(target, maps, np.zeros(len(maps) - 1), mode="grid",
-                                  grid_size=512)
-            d_exact = solve_inverse(exact).d_star
-            d_grid = solve_inverse(grid).d_star
-            # grid sampling can only miss sup mass between grid points
-            assert abs(d_exact - d_grid) < 2.0 / 512 * 1.6
+    @pytest.mark.parametrize("negative_delta", [False, True])
+    @pytest.mark.parametrize("kind", ["beta", "step", "edf"])
+    def test_exact_rows_give_the_true_sup(self, kind, negative_delta):
+        # on a cell T_p F - F is affine in F(x), so its sup over [0,1] is
+        # attained at a cell's start or the left limit at its end: the
+        # exact rows, evaluated by an independent route through apply
+        rng = np.random.default_rng((19, negative_delta, len(kind)))
+        for _ in range(50):
+            system = random_identity_system(rng, k_range=(2, 12),
+                                            negative_delta=negative_delta)
+            if kind == "beta":
+                target = BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2)))
+            elif kind == "step":
+                target = random_step_df(rng)
+            else:
+                target = edf_from_sample(rng.uniform(0.02, 0.98, int(rng.integers(3, 30))))
+            problem = CollageProblem(target, system.maps, system.delta)
+            assert problem.mode == "exact" and len(problem.eval_spots) == 2 * system.k
+            d = sup_distance(apply(system, target), target, grid_size=2049)
+            assert collage_distance(problem, system.p) == pytest.approx(d, abs=1e-12)
 
     def test_minimax_certificate(self):
         rng = np.random.default_rng(23)
@@ -186,8 +209,10 @@ class TestSolveInverse:
 
     def test_iterations_count_forward_passes(self):
         exact = solve_inverse(single_point_problem(0.3))
-        maps = [AffineMap.identity(0.0, 0.3), AffineMap.identity(0.3, 1.0)]
-        grid = solve_inverse(CollageProblem(UniformDF(), maps, [0.0], mode="grid",
+        maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.3)),
+                AffineMap.from_intervals((0.0, 1.0), (0.3, 1.0))]
+        # a Beta target: the uniform is these maps' fixed point, with D* = 0
+        grid = solve_inverse(CollageProblem(BetaDF(BetaParams(2, 2)), maps, [0.0],
                                             grid_size=16))
         # a forward pass per bisection step: about log2(D / 1e-13) of them
         assert exact.mode == "exact" and 30 <= exact.iterations <= 70
@@ -418,6 +443,8 @@ class TestCollageBound:
             collage_bound(0.1, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             collage_bound(-0.1, 0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            collage_bound(float("nan"), 0.5)
 
     def test_single_point_bound_holds(self):
         # solver output at x1 = 0.3: D* = 0.21, c = 0.7, bound = 0.7
@@ -442,11 +469,3 @@ class TestProblemValidation:
         maps = [AffineMap.identity(0.0, 0.4), AffineMap.identity(0.5, 1.0)]
         with pytest.raises(ValueError, match="gap"):
             CollageProblem(UniformDF(), maps, [0.0])
-
-    def test_exact_mode_needs_identity_maps(self):
-        maps = [
-            AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
-            AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
-        ]
-        with pytest.raises(ValueError, match="identity"):
-            CollageProblem(UniformDF(), maps, [0.0], mode="exact")
