@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, log
+from math import ceil, log, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,12 @@ _TOL = 1e-12
 # Most breakpoints an iterate keeps after each pullback step, and the number
 # of intervals of the default mesh of a contractive system.
 _CAP = 4096
+# Mean points per map from which ``_MapTable.images`` writes each map's run
+# into its slice instead of gathering all images at once.  On a 2-core
+# x86-64 machine with numpy 2.4 a run costs about 2-5 us per map plus 1 ns
+# per point and the gather 6-13 ns per point; the two meet between 200 and
+# 400 points per map.
+_LONG_RUN = 400
 
 
 @dataclass(frozen=True)
@@ -143,18 +149,37 @@ class _MapTable:
                          self.slope.tolist(), self.intercept.tolist()))
 
     def images(self, xs) -> np.ndarray:
-        """w_i(x) for every x and every map i whose source [a_i, b_i) holds x."""
+        """w_i(x) for every x and every map i whose source [a_i, b_i) holds x,
+        in map order: map i's images form one run, in increasing x, and the
+        runs follow the table's order.
+
+        IEEE rounding is monotone, so each run is non-decreasing; as the maps
+        are ordered by target, the whole result is sorted unless two targets
+        overlap (validation lets them, by up to 1e-12).
+        """
         xs = np.sort(np.asarray(xs, float))
         lo, hi = np.searchsorted(xs, self.a), np.searchsorted(xs, self.b)
         counts = np.maximum(hi - lo, 0)
-        # map i takes xs[lo_i : lo_i + counts_i]; the index array is freed
-        # before the products are formed, so at most two result-sized arrays live
-        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        at += np.arange(at.size)
-        out = xs[at]
-        del at
-        out *= np.repeat(self.slope, counts)
-        out += np.repeat(self.intercept, counts)
+        stops = np.cumsum(counts)
+        total = int(stops[-1]) if self.k else 0
+        if total < _LONG_RUN * self.k:
+            # map i takes xs[lo_i : lo_i + counts_i]; the index array is freed
+            # before the products are formed, so at most two result-sized arrays live
+            at = np.repeat(lo - stops + counts, counts)
+            at += np.arange(at.size)
+            out = xs[at]
+            del at
+            out *= np.repeat(self.slope, counts)
+            out += np.repeat(self.intercept, counts)
+            return out
+        # long runs: each map writes its run straight into its slice
+        out = np.empty(total)
+        held = counts > 0
+        for start, stop, lo_i, slope, intercept in zip(*(
+                v[held].tolist() for v in (stops - counts, stops, lo, self.slope, self.intercept))):
+            run = out[start:stop]
+            np.multiply(xs[lo_i:lo_i + stop - start], slope, out=run)
+            run += intercept
         return out
 
     def violations(self, delta) -> list[str]:
@@ -425,11 +450,25 @@ def _image_breakpoints(table: _MapTable, u0: DistributionFunction, depth: int) -
     boundary = np.unique(np.concatenate([table.starts, table.ends]))
     bps = np.asarray(u0.breakpoints(), float)
     for _ in range(depth):
-        bps = np.unique(np.concatenate([boundary, table.images(bps)]))
+        bps = _with_boundary(table.images(bps), boundary)
         if bps.size > _CAP:
             keep = np.linspace(0, bps.size - 1, _CAP).astype(int)
             bps = np.unique(np.concatenate([bps[keep], boundary]))
     return bps[(bps > 0.0) & (bps < 1.0)]
+
+
+def _with_boundary(points: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """np.unique(np.concatenate([boundary, points])) for a sorted, distinct
+    ``boundary``; in linear time when ``points`` rise strictly and outnumber
+    ``boundary`` by more than the log2(n) steps of each binary search."""
+    n = points.size
+    # images rise strictly unless rounding repeats a value within a map's run
+    # or two targets overlap (validation allows 1e-12)
+    if n < boundary.size * log2(n + 2) or not np.all(points[1:] > points[:-1]):
+        return np.unique(np.concatenate([boundary, points]))
+    at = np.searchsorted(points, boundary)
+    new = points[np.minimum(at, n - 1)] != boundary
+    return np.insert(points, at[new], boundary[new])
 
 
 def apply(system: IfsSystem, f: DistributionFunction) -> IteratedDF:

@@ -104,21 +104,20 @@ class CollageProblem:
         xr, xl = xs[xs < 1.0], xs[xs > 0.0]
         cell_r, pulled_r = _pullback(table, xr)
         cell_l, pulled_l = _pullback(table, xl, left=True)
-        nr, nl = len(xr), len(xl)
-        right = target.eval_array(np.concatenate([pulled_r, xr]))
-        left = target.eval_left_array(np.concatenate([pulled_l, xl]))
+        w_r, f_r = _at_preimages_and_points(target.eval_array, pulled_r, xr)
+        w_l, f_l = _at_preimages_and_points(target.eval_left_array, pulled_l, xl)
         cell, x = np.concatenate([cell_r, cell_l]), np.concatenate([xr, xl])
-        is_left = np.arange(nr + nl) >= nr
+        is_left = np.arange(len(x)) >= len(xr)
         order = np.lexsort((is_left, x, cell))
-        w = np.concatenate([right[:nr], left[:nl]])[order]
+        w = np.concatenate([w_r, w_l])[order]
         if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
             raise ValueError("target values must lie in [0,1]")
         cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
         self._cell, self._w = cell[order], w
-        self._c = np.concatenate([right[nr:], left[nl:]])[order] - cum_delta[self._cell]
+        self._c = np.concatenate([f_r, f_l])[order] - cum_delta[self._cell]
         for arr in (self._cell, self._w, self._c):
             arr.flags.writeable = False
-        self._start_values = right[nr:][np.searchsorted(xr, table.starts)]
+        self._start_values = f_r[np.searchsorted(xr, table.starts)]
         self.eval_spots = tuple(zip(x[order].tolist(), is_left[order].tolist()))
 
     def residuals(self, p) -> np.ndarray:
@@ -131,6 +130,17 @@ class CollageProblem:
 
     def __repr__(self) -> str:
         return f"CollageProblem(k={self.k}, mode={self.mode!r}, rows={len(self._c)})"
+
+
+def _at_preimages_and_points(evaluate, pulled: np.ndarray, xs: np.ndarray):
+    """(evaluate(pulled), evaluate(xs)), evaluating once at each point that
+    pulls back onto itself (every point, under identity maps)."""
+    moved = pulled != xs
+    vals = evaluate(np.concatenate([xs, pulled[moved]]))
+    at_points = vals[:len(xs)]
+    at_pulled = at_points.copy()
+    at_pulled[moved] = vals[len(xs):]
+    return at_pulled, at_points
 
 
 def collage_distance(problem: CollageProblem, p) -> float:

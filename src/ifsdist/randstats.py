@@ -399,8 +399,10 @@ def derive_substream(seed: int, index: int) -> int:
 def sample_beta(params: BetaParams, n: int, rng: SeededRng) -> np.ndarray:
     """n inverse-transform Beta variates from the rng's uniform stream.
 
-    Uniform draws outside [1e-12, 1 - 1e-12] are rejected and redrawn so
-    every variate lies strictly inside (0,1).
+    Uniform draws outside [1e-12, 1 - 1e-12] are rejected and redrawn.  The
+    variates lie in (0,1]: the 60-step bisection ends on a midpoint, which
+    is at least 2^-61, but a quantile above 1 - 2^-54 rounds to exactly 1.0
+    (Beta(2,0.05) and Beta(0.1,0.1) give such variates).
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")

@@ -87,6 +87,12 @@ def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     target = BetaDF(config.distribution)
     rng = SeededRng(derive_substream(config.seed, trial_index))
     sample = sample_beta(config.distribution, config.n, rng)
+    at_one = int(np.count_nonzero(sample == 1.0))
+    if at_one:
+        raise ValueError(
+            f"{config.distribution.label()}: {at_one} of {config.n} variates in trial "
+            f"{trial_index} rounded to 1.0, and the estimators need a sample strictly "
+            "inside (0,1)")
     system = quantile_estimator(sample, config.resolved_k())
     estimator = iterate_exact(system, UniformDF(), config.iters)
     edf = edf_from_sample(sample)

@@ -73,6 +73,16 @@ class TestSimulate:
                          "--seed", "6", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_variates_rounded_to_one_are_named(self, tmp_path, capsys):
+        # Beta(0.1,0.1) at seed 0 draws a quantile above 1 - 2^-54 in trial 0,
+        # which the bisection returns as exactly 1.0
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--dist", "beta:0.1,0.1", "--n", "100",
+                         "--seed", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "beta:0.1,0.1: 1 of 100 variates in trial 0 rounded to 1.0" in err
+        assert not out.exists()
+
 
 class TestInvert:
     def test_edf_self_partition_reaches_zero(self, sample_file, tmp_path):

@@ -15,6 +15,7 @@ from ifsdist import (
     iterate,
     iterate_exact,
     perturbation_bound,
+    quantile_estimator,
     quantile_ifs,
     sup_distance,
     system_from_json,
@@ -22,7 +23,7 @@ from ifsdist import (
     validate,
 )
 
-from ifsdist.ifs import _MapTable
+from ifsdist.ifs import _LONG_RUN, _MapTable, _image_breakpoints
 
 from conftest import (
     random_contractive_system,
@@ -66,21 +67,55 @@ class TestAffineMap:
             AffineMap.from_intervals((0.0, 1.0), (0.3, 0.3))
 
 
+def _reference_image_breakpoints(table, u0, depth):
+    """The breakpoint walk with np.unique after every step, as it was before
+    the merge used the sorted runs of ``images``."""
+    boundary = np.unique(np.concatenate([table.starts, table.ends]))
+    bps = np.asarray(u0.breakpoints(), float)
+    for _ in range(depth):
+        bps = np.unique(np.concatenate([boundary, table.images(bps)]))
+        if bps.size > 4096:
+            keep = np.linspace(0, bps.size - 1, 4096).astype(int)
+            bps = np.unique(np.concatenate([bps[keep], boundary]))
+    return bps[(bps > 0.0) & (bps < 1.0)]
+
+
+def _random_table(rng, k, overlap=0.0):
+    """Valid maps onto random cells from random sources; each target but the
+    last overhangs the next one's start by up to ``overlap``."""
+    cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 1)), [1.0]])
+    a = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 0.3, k))
+    b = np.where(rng.random(k) < 0.5, 1.0, rng.uniform(0.7, 1.0, k))
+    a[0], b[-1] = 0.0, 1.0
+    c, d = cuts[:-1], cuts[1:].copy()
+    d[:-1] += rng.uniform(0.0, overlap, k - 1)
+    slope = (d - c) / (b - a)
+    return _MapTable(a, b, slope, c - slope * a)
+
+
 class TestMapTable:
     def test_images_match_the_per_map_loop(self):
-        # the per-map loop that the array helper replaced is the reference
+        # the per-map loop that the array helper replaced is the reference,
+        # concatenated in map order; a few points per map take the flat
+        # gather, hundreds per map the per-map runs
         rng = np.random.default_rng(83)
-        for trial in range(60):
+        for trial in range(120):
+            long_runs = trial % 2 == 1
             k = int(rng.integers(1, 9))
             if trial % 3 == 0:  # one shared source, as in the quantile constructions
                 a, b = np.zeros(k), np.ones(k)
+            elif long_runs:
+                a, b = rng.uniform(0.0, 0.3, k), rng.uniform(0.7, 1.0, k)
             else:
                 a, b = np.sort(rng.uniform(0.0, 1.0, (2, k)), axis=0)
             slope, intercept = rng.uniform(0.1, 2.0, k), rng.uniform(-1.0, 1.0, k)
-            xs = np.concatenate([rng.uniform(0.0, 1.0, int(rng.integers(0, 40))), a[:2], b[:2]])
-            want = [slope[i] * xs[(xs >= a[i]) & (xs < b[i])] + intercept[i] for i in range(k)]
-            got = _MapTable(a, b, slope, intercept).images(xs)
-            assert np.array_equal(np.sort(got), np.sort(np.concatenate(want)))
+            size = int(rng.integers(1500, 3000) if long_runs else rng.integers(0, 40))
+            xs = np.concatenate([rng.uniform(0.0, 1.0, size), a[:2], b[:2]])
+            ordered = np.sort(xs)
+            want = np.concatenate([slope[i] * ordered[(ordered >= a[i]) & (ordered < b[i])]
+                                   + intercept[i] for i in range(k)])
+            assert (want.size >= _LONG_RUN * k) == long_runs
+            assert np.array_equal(_MapTable(a, b, slope, intercept).images(xs), want)
 
     def test_cells_match_the_affine_map_constructors(self):
         rng = np.random.default_rng(89)
@@ -90,6 +125,54 @@ class TestMapTable:
             AffineMap.identity(c, d) for c, d in cells)
         assert _MapTable.on_cells(cuts, identity=False).maps == tuple(
             AffineMap.from_intervals((0.0, 1.0), (c, d)) for c, d in cells)
+
+
+class TestImageBreakpoints:
+    """The linear-time merge against the np.unique walk, bit for bit."""
+
+    @staticmethod
+    def starts(rng):
+        return (UniformDF(), random_step_df(rng, max_jumps=30),
+                GridDF([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0], [0.0, 0.3, 0.6, 1.0], mode="step"))
+
+    @pytest.mark.parametrize("n", [20, 200, 1000])
+    def test_quantile_estimators(self, n):
+        # k = 500 at n = 1000 holds hundreds of points per map from the first step
+        rng = np.random.default_rng(n)
+        sample = np.sort(rng.beta(2.0, 5.0, n))
+        for k in (2, (n + 1) // 2):
+            table = quantile_estimator(sample, k)._table
+            for depth in (1, 2, 4):
+                assert np.array_equal(_image_breakpoints(table, UniformDF(), depth),
+                                      _reference_image_breakpoints(table, UniformDF(), depth))
+
+    def test_edf_partitions(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 30, 3000):
+            table = edf_ifs(np.sort(rng.uniform(0.0, 1.0, n)))._table
+            for u0 in self.starts(rng):
+                for depth in (1, 3):
+                    assert np.array_equal(_image_breakpoints(table, u0, depth),
+                                          _reference_image_breakpoints(table, u0, depth))
+
+    @pytest.mark.parametrize("overlap", [0.0, 9e-13])
+    def test_mixed_sources(self, overlap):
+        # with targets overhanging by less than validation's 1e-12 (or by
+        # rounding alone) the images are out of order at some seams, and the
+        # merge must sort them
+        rng = np.random.default_rng(29)
+        unordered = 0
+        for _ in range(40):
+            table = _random_table(rng, int(rng.integers(2, 40)), overlap)
+            p = rng.random(table.k)
+            assert IfsSystem(table, p / p.sum(), np.zeros(table.k - 1)).violations() == []
+            ends = table.images(np.concatenate([table.a, np.nextafter(table.b, 0.0)]))
+            unordered += bool(np.any(ends[1:] < ends[:-1]))
+            for u0 in self.starts(rng):
+                for depth in (1, 2, 3):
+                    assert np.array_equal(_image_breakpoints(table, u0, depth),
+                                          _reference_image_breakpoints(table, u0, depth))
+        assert unordered > 0 or overlap == 0.0
 
 
 class TestValidate:

@@ -256,6 +256,13 @@ class TestSampleBeta:
         xs = sample_beta(BetaParams(3, 5), 500, SeededRng(3))
         assert np.all((xs > 0.0) & (xs < 1.0))
 
+    @pytest.mark.parametrize("ab, at_one", [((2, 0.05), 319), ((0.1, 0.1), 31)])
+    def test_steep_shapes_round_to_one(self, ab, at_one):
+        # quantiles above 1 - 2^-54 round to 1.0; none rounds to 0
+        xs = sample_beta(BetaParams(*ab), 2000, SeededRng(derive_substream(0, 0)))
+        assert np.count_nonzero(xs == 1.0) == at_one
+        assert np.all((xs > 0.0) & (xs <= 1.0))
+
     def test_uniform_mean_clt_band(self):
         # var 1/12, 3 sigma over n=1e4 is 0.0087 < 0.02
         xs = sample_beta(BetaParams(1, 1), 10_000, SeededRng(101))
