@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distfn import DistributionFunction, GridDF, UniformDF, _nonfinite_violation
+from .distfn import DistributionFunction, GridDF, UniformDF, _nonfinite_violation, _sup_on
 
 __all__ = [
     "AffineMap",
@@ -356,7 +356,8 @@ def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
     and a point on a target start pulls back to that map's source start.
     For left limits (``left=True``) a point sitting exactly on a target start
     belongs to the interval to its left and pulls back to that map's source
-    end.  The map arithmetic can land a few ulps on either side of the true
+    end, as does a point on its own map's target end (x = 1 on the last).
+    The map arithmetic can land a few ulps on either side of the true
     preimage; when that preimage is a breakpoint of the function being
     pulled back, the side decides the value.  So right values resolve
     at-or-above the true preimage (right continuity) and left limits below
@@ -371,6 +372,7 @@ def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
     if left:
         on_start &= idx > 0
         idx -= on_start
+        on_start |= table.ends[idx] == ys
     a, b = table.a[idx], table.b[idx]
     pulled = (ys - table.intercept[idx]) / table.slope[idx]
     inexact = ~table.exact[idx]
@@ -383,23 +385,17 @@ def _pullback(table: _MapTable, ys: np.ndarray, left: bool = False):
     return idx, np.where(on_start, b if left else a, pulled)
 
 
-def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False,
-          snapshot_at: int = -1):
-    """Pullback chain: returns (A, B, y, snapshot) with T^depth u (x) = A * u(y) + B,
-    or the left limit of T^depth u at x when ``left``, with u's left limit at y.
-    ``snapshot_at`` captures the state after that many steps, giving
-    T^snapshot_at on the same points for free."""
+def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False):
+    """Pullback chain: returns (A, B, y) with T^depth u (x) = A * u(y) + B,
+    or the left limit of T^depth u at x when ``left``, with u's left limit at y."""
     y = np.asarray(xs, float).astype(float, copy=True)
     amp = np.ones_like(y)
     off = np.zeros_like(y)
-    snap = (amp.copy(), off.copy(), y.copy()) if snapshot_at == 0 else None
-    for step in range(1, depth + 1):
+    for _ in range(depth):
         idx, y = _pullback(system._table, y, left)
         off += amp * system._offsets[idx]
         amp = amp * system.p[idx]
-        if step == snapshot_at:
-            snap = (amp.copy(), off.copy(), y.copy())
-    return amp, off, y, snap
+    return amp, off, y
 
 
 class IteratedDF(DistributionFunction):
@@ -412,10 +408,9 @@ class IteratedDF(DistributionFunction):
         self.system = system
         self.u0 = u0
         self.depth = int(depth)
-        self._bps: np.ndarray | None = None
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        amp, off, y, _ = _walk(self.system, xs, self.depth)
+        amp, off, y = _walk(self.system, xs, self.depth)
         vals = amp * self.u0.eval_array(y) + off
         # endpoint identities hold exactly up to float summation dust
         xs = np.asarray(xs, float)
@@ -423,7 +418,7 @@ class IteratedDF(DistributionFunction):
         return vals
 
     def eval_left_array(self, xs: np.ndarray) -> np.ndarray:
-        amp, off, y, _ = _walk(self.system, xs, self.depth, left=True)
+        amp, off, y = _walk(self.system, xs, self.depth, left=True)
         vals = amp * self.u0.eval_left_array(y) + off
         # 0 by convention at x <= 0, where the preimages sit just above a_0
         vals[np.asarray(xs, float) <= 0.0] = 0.0
@@ -438,9 +433,7 @@ class IteratedDF(DistributionFunction):
         taken over it (``sup_distance``, ``simulate --exact-sup``) is a lower
         bound.
         """
-        if self._bps is None:
-            self._bps = _image_breakpoints(self.system._table, self.u0, self.depth)
-        return self._bps
+        return _image_breakpoints(self.system._table, self.u0, self.depth)
 
     def __repr__(self) -> str:
         return f"IteratedDF(depth={self.depth}, k={self.system.k})"
@@ -508,9 +501,8 @@ def iterate(system: IfsSystem, u0: DistributionFunction, s: int) -> GridDF:
     """T^s u0 sampled on its default mesh."""
     if s < 1:
         raise ValueError("iteration count must be >= 1")
-    system.require_valid()
-    base = default_mesh(system, u0)
     it = IteratedDF(system, u0, depth=s)
+    base = default_mesh(system, u0)
     return _sample_grid(system, it.eval_array(base), base)
 
 
@@ -523,15 +515,15 @@ class FixedPointResult(NamedTuple):
 def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
     """Approximate the unique fixed point by iterating from the uniform start.
 
-    Iterates until the mesh sup distance between consecutive iterates drops
-    below tol*(1-c)/c; the bound c/(1-c)*d(T u, u) on the mesh distance to
-    the true fixed point is then at most tol.  Requires c < 1.  The bound is
-    certified on the mesh points (right values and left limits) only: both
-    distances are maxima over the mesh, not the sup over [0,1].
+    Iterates until d = d(T^{s+1} u, T^s u) drops below tol*(1-c)/c and
+    returns T^{s+1} u with the bound c/(1-c)*d <= tol.  Requires c < 1.  d is
+    a maximum over the mesh (right values and left limits), not the sup over
+    [0,1].  Identity-partition iterates are affine on each cell and the mesh
+    holds every cell end, so there the bound is certified at the mesh points;
+    for general maps it is an estimate, which the error on the mesh can exceed.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    system.require_valid()
     c = contractivity(system)
     if c >= 1.0:
         raise ValueError(f"system is not contractive: max weight = {c}")
@@ -539,30 +531,18 @@ def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
     u0 = UniformDF()
     threshold = np.inf if c == 0.0 else tol * (1.0 - c) / c
 
-    interior = mesh > 0.0
+    def gap_at(s: int) -> float:
+        """d_sup(T^{s+1} u0, T^s u0) on the mesh."""
+        before = iterate_exact(system, u0, s) if s else u0
+        return _sup_on(iterate_exact(system, u0, s + 1), before, mesh)
 
-    def gap_at(s: int):
-        """d_sup(T^{s+1} u0, T^s u0) on the mesh, and the T^{s+1} samples."""
-        amp, off, y, snap = _walk(system, mesh, s + 1, snapshot_at=s)
-        hi = amp * u0.eval_array(y) + off
-        amp_s, off_s, y_s = snap
-        lo = amp_s * u0.eval_array(y_s) + off_s
-        gap = float(np.max(np.abs(hi - lo)))
-        xm = mesh[interior]
-        lamp, loff, ly, lsnap = _walk(system, xm, s + 1, left=True, snapshot_at=s)
-        lhi = lamp * u0.eval_left_array(ly) + loff
-        lamp_s, loff_s, ly_s = lsnap
-        llo = lamp_s * u0.eval_left_array(ly_s) + loff_s
-        gap = max(gap, float(np.max(np.abs(lhi - llo))))
-        return gap, hi
-
-    d1, vals = gap_at(0)
+    d1 = gap_at(0)
     s = 0
     if d1 > threshold:
         # d(T^{s+1}u, T^s u) <= c^s d(Tu, u): jump to the predicted depth
         s = max(1, ceil(log(threshold / d1) / log(c)))
         for _ in range(64):
-            gap, vals = gap_at(s)
+            gap = gap_at(s)
             if gap <= threshold:
                 d1 = gap
                 break
@@ -570,7 +550,7 @@ def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
         else:
             raise RuntimeError("fixed-point iteration failed to converge")
     bound = 0.0 if c == 0.0 else c / (1.0 - c) * d1
-    return FixedPointResult(_sample_grid(system, vals, mesh), s + 1, float(bound))
+    return FixedPointResult(iterate(system, u0, s + 1), s + 1, float(bound))
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ class TestApply:
         assert tf.eval_left_limit(np.nextafter(0.3, 1.0)) == 0.5 + 0.5 * 0.6
         assert tf.eval_left_limit(0.3) == 0.5 * 0.6
 
+    def test_left_limit_at_the_last_target_end(self):
+        # every iterate of this system from the uniform is continuous at 1
+        # and at 0.9; a left limit at 1 pulls back to the last source end
+        # exactly, where a nudge below it would grow by 1/slope per step
+        maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.9)),
+                AffineMap.from_intervals((0.0, 1.0), (0.9, 1.0))]
+        system = IfsSystem(maps, (0.1, 0.9), (0.0,))
+        it = iterate_exact(system, UniformDF(), 20)
+        assert it.eval_left_limit(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert it.eval_left_limit(0.9) == pytest.approx(0.1, abs=1e-15)
+
     def test_closure_monotone_right_continuous(self):
         rng = np.random.default_rng(37)
         for _ in range(25):
@@ -472,6 +483,19 @@ class TestFixedPoint:
             mesh = default_mesh(system)
             err = np.max(np.abs(result.df.eval_array(mesh) - longer.eval_array(mesh)))
             assert err <= result.error_bound + 1e-15
+
+    def test_df_is_the_operator_iterate(self):
+        # the loop returns the sampled iterate T^s u0 that iterate() builds
+        rng = np.random.default_rng(67)
+        for i in range(24):
+            if i % 3 == 2:
+                system = random_contractive_system(rng)
+            else:
+                system = random_identity_system(rng, negative_delta=bool(i % 3))
+            result = fixed_point(system, tol=1e-9)
+            expected = iterate(system, UniformDF(), result.iterations)
+            assert np.array_equal(result.df.grid, expected.grid)
+            assert np.array_equal(result.df.values, expected.values)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError, match="positive"):
