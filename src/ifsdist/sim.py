@@ -93,6 +93,14 @@ def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
             f"{config.distribution.label()}: {at_one} of {config.n} variates in trial "
             f"{trial_index} rounded to 1.0, and the estimators need a sample strictly "
             "inside (0,1)")
+    # quantiles below 2^-61 all end on that least midpoint; one is a valid
+    # sample value, two or more are duplicates
+    at_floor = int(np.count_nonzero(sample == 2.0**-61))
+    if at_floor > 1:
+        raise ValueError(
+            f"{config.distribution.label()}: {at_floor} of {config.n} variates in trial "
+            f"{trial_index} equal 2^-61, the least value that the 60-step bisection "
+            "returns, and the estimators need distinct sample values")
     system = quantile_estimator(sample, config.resolved_k())
     estimator = iterate_exact(system, UniformDF(), config.iters)
     edf = edf_from_sample(sample)

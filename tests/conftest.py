@@ -1,8 +1,11 @@
-"""Shared generators for randomized property tests.
+"""Shared generators for randomized property tests, and the reference
+oracles of the Beta CDF and quantile.
 
 All randomness is driven by numpy Generators seeded per test, so every run
 checks the same cases.
 """
+
+from math import lgamma
 
 import numpy as np
 
@@ -98,3 +101,94 @@ def constraint_rows(problem):
     b = problem.residuals(np.zeros(problem.k))
     a = np.column_stack([problem.residuals(e) - b for e in np.eye(problem.k)])
     return a, b
+
+
+# Reference oracles: the continued fraction with per-lane masking and the
+# plain 60-step bisection that the library's quantile must reproduce bit for
+# bit.
+
+
+def reference_beta_cf(a, b, x, max_iter=400, eps=3e-15):
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < tiny, tiny, d)
+    d = 1.0 / d
+    h = d.copy()
+    active = np.ones(x.shape, bool)
+    for m in range(1, max_iter + 1):
+        m2 = 2.0 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d_new = 1.0 + aa * d
+        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
+        c_new = 1.0 + aa / c
+        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
+        d_new = 1.0 / d_new
+        h_mid = h * d_new * c_new
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d2 = 1.0 + aa * d_new
+        d2 = np.where(np.abs(d2) < tiny, tiny, d2)
+        c2 = 1.0 + aa / c_new
+        c2 = np.where(np.abs(c2) < tiny, tiny, c2)
+        d2 = 1.0 / d2
+        delta = d2 * c2
+        h_new = h_mid * delta
+        h = np.where(active, h_new, h)
+        c = np.where(active, c2, c)
+        d = np.where(active, d2, d)
+        active = active & (np.abs(delta - 1.0) >= eps)
+        if not active.any():
+            break
+    return h
+
+
+def reference_reg_inc_beta(alpha, beta, xs):
+    xs = np.asarray(xs, float)
+    if alpha == 1.0 and beta == 1.0:
+        return np.clip(xs, 0.0, 1.0).astype(float)
+    out = np.empty_like(xs)
+    at_zero = xs <= 0.0
+    at_one = xs >= 1.0
+    inner = ~(at_zero | at_one)
+    out[at_zero] = 0.0
+    out[at_one] = 1.0
+    if inner.any():
+        x = xs[inner]
+        direct = x < (alpha + 1.0) / (alpha + beta + 2.0)
+        w = np.where(direct, x, 1.0 - x)
+        aa = np.where(direct, alpha, beta)
+        bb = np.where(direct, beta, alpha)
+        ln_front = (
+            lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
+            + aa * np.log(w) + bb * np.log1p(-w)
+        )
+        val = np.exp(ln_front) * reference_beta_cf(aa, bb, w) / aa
+        out[inner] = np.where(direct, val, 1.0 - val)
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def reference_quantile(alpha, beta, us, steps=60):
+    us = np.asarray(us, float)
+    lo = np.zeros_like(us)
+    hi = np.ones_like(us)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = reference_reg_inc_beta(alpha, beta, mid) < us
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_uniforms(rng, n):
+    """The scalar stream with the redraw rule of sample_beta."""
+    us = np.empty(n)
+    for i in range(n):
+        u = rng.uniform()
+        while not 1e-12 <= u <= 1.0 - 1e-12:
+            u = rng.uniform()
+        us[i] = u
+    return us

@@ -83,6 +83,16 @@ class TestSimulate:
         assert "beta:0.1,0.1: 1 of 100 variates in trial 0 rounded to 1.0" in err
         assert not out.exists()
 
+    def test_variates_at_the_bisection_floor_are_named(self, tmp_path, capsys):
+        # Beta(0.05,2) at seed 0 draws 9 quantiles below 2^-61 in trial 0,
+        # which the bisection all returns as its least midpoint 2^-61
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--dist", "beta:0.05,2", "--n", "100",
+                         "--seed", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "beta:0.05,2: 9 of 100 variates in trial 0 equal 2^-61" in err
+        assert not out.exists()
+
 
 class TestInvert:
     def test_edf_self_partition_reaches_zero(self, sample_file, tmp_path):

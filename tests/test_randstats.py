@@ -1,5 +1,3 @@
-from math import lgamma
-
 import numpy as np
 import pytest
 
@@ -13,104 +11,18 @@ from ifsdist import (
     parse_distribution,
     sample_beta,
 )
+from ifsdist import randstats
 from ifsdist.randstats import _BATCH, _LANES, _beta_quantile_vec, _mix64, _reg_inc_beta
 
-
-# Reference oracles: the continued fraction with per-lane masking and the
-# plain 60-step bisection that the library's quantile must reproduce bit for
-# bit.
-
-
-def reference_beta_cf(a, b, x, max_iter=400, eps=3e-15):
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    active = np.ones(x.shape, bool)
-    for m in range(1, max_iter + 1):
-        m2 = 2.0 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d_new = 1.0 + aa * d
-        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
-        c_new = 1.0 + aa / c
-        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
-        d_new = 1.0 / d_new
-        h_mid = h * d_new * c_new
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d2 = 1.0 + aa * d_new
-        d2 = np.where(np.abs(d2) < tiny, tiny, d2)
-        c2 = 1.0 + aa / c_new
-        c2 = np.where(np.abs(c2) < tiny, tiny, c2)
-        d2 = 1.0 / d2
-        delta = d2 * c2
-        h_new = h_mid * delta
-        h = np.where(active, h_new, h)
-        c = np.where(active, c2, c)
-        d = np.where(active, d2, d)
-        active = active & (np.abs(delta - 1.0) >= eps)
-        if not active.any():
-            break
-    return h
-
-
-def reference_reg_inc_beta(alpha, beta, xs):
-    xs = np.asarray(xs, float)
-    if alpha == 1.0 and beta == 1.0:
-        return np.clip(xs, 0.0, 1.0).astype(float)
-    out = np.empty_like(xs)
-    at_zero = xs <= 0.0
-    at_one = xs >= 1.0
-    inner = ~(at_zero | at_one)
-    out[at_zero] = 0.0
-    out[at_one] = 1.0
-    if inner.any():
-        x = xs[inner]
-        direct = x < (alpha + 1.0) / (alpha + beta + 2.0)
-        w = np.where(direct, x, 1.0 - x)
-        aa = np.where(direct, alpha, beta)
-        bb = np.where(direct, beta, alpha)
-        ln_front = (
-            lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
-            + aa * np.log(w) + bb * np.log1p(-w)
-        )
-        val = np.exp(ln_front) * reference_beta_cf(aa, bb, w) / aa
-        out[inner] = np.where(direct, val, 1.0 - val)
-        np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
-def reference_quantile(alpha, beta, us, steps=60):
-    us = np.asarray(us, float)
-    lo = np.zeros_like(us)
-    hi = np.ones_like(us)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = reference_reg_inc_beta(alpha, beta, mid) < us
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def reference_uniforms(rng, n):
-    """The scalar stream with the redraw rule of sample_beta."""
-    us = np.empty(n)
-    for i in range(n):
-        u = rng.uniform()
-        while not 1e-12 <= u <= 1.0 - 1e-12:
-            u = rng.uniform()
-        us[i] = u
-    return us
+from conftest import reference_quantile, reference_reg_inc_beta, reference_uniforms
 
 
 # Shapes for the bit-identity checks: symmetric, skewed, U-shaped, peaked.
 ORACLE_SHAPES = [
     (0.1, 0.1), (0.5, 0.5), (50, 50), (200, 3), (1, 1), (2, 2), (3, 3), (5, 3),
     (3, 5), (0.3, 4), (7, 0.2), (1, 3), (1000, 1000), (0.05, 2),
+    # where the window's margin is widest or its guess poorest
+    (5000, 5000), (1e4, 3), (0.01, 0.01), (2, 0.05),
 ]
 
 # Closed-form CDFs for integer parameters, obtained by symbolic integration
@@ -319,11 +231,45 @@ class TestAgainstReferences:
             us = SeededRng(n).uniforms(n)
             assert np.array_equal(_beta_quantile_vec(params, us), reference_quantile(*ab, us))
 
+    @pytest.mark.parametrize("spoil", [
+        lambda a, b, g: g * (1.0 + 1e-9), lambda a, b, g: g * (1.0 - 1e-6),
+        lambda a, b, g: np.full_like(g, 0.5), lambda a, b, g: np.full_like(g, np.nan),
+        lambda a, b, g: 0.5 * (g + randstats._window(a, b, g)[0]),
+        lambda a, b, g: 0.5 * (g + randstats._window(a, b, g)[1]),
+    ], ids=["up-1e-9", "down-1e-6", "half", "nan", "window-low", "window-high"])
+    def test_poor_guess_only_costs_time(self, spoil, monkeypatch):
+        # a window around a wrong guess fails its end tests, and the lane's
+        # steps are all checked; a guess off by less passes them, and the
+        # steps inside its window are checked
+        guess = randstats._quantile_guess
+        monkeypatch.setattr(randstats, "_quantile_guess",
+                            lambda a, b, us: spoil(a, b, guess(a, b, us)))
+        us = SeededRng(8).uniforms(300)
+        for ab in ((2, 2), (0.5, 0.5), (200, 3)):
+            assert np.array_equal(_beta_quantile_vec(BetaParams(*ab), us),
+                                  reference_quantile(*ab, us))
+
     @pytest.mark.parametrize("ab", [(2, 2), (0.5, 0.5), (200, 3)])
     def test_sample_bit_identical(self, ab):
         for n, seed in ((1, 4), (37, 5), (600, 6)):
             want = reference_quantile(*ab, reference_uniforms(SeededRng(seed), n))
             assert np.array_equal(sample_beta(BetaParams(*ab), n, SeededRng(seed)), want)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("ab", [(2, 2), (3, 3), (5, 3), (3, 5)])
+    def test_points_per_variate(self, ab, monkeypatch):
+        # steps outside the window around the guess are decided without a
+        # CDF evaluation; plain bisection evaluates about 59 points per variate
+        points = []
+
+        def counted(a, b, xs):
+            points.append(np.size(xs))
+            return _reg_inc_beta(a, b, xs)
+
+        monkeypatch.setattr(randstats, "_reg_inc_beta", counted)
+        sample_beta(BetaParams(*ab), 1000, SeededRng(0))
+        assert sum(points) <= 30 * 1000
 
 
 class TestVectorStream:
