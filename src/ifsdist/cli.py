@@ -133,10 +133,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def _target_from_spec(spec: str, mode: str):
     if spec.startswith("edf:"):
         return edf_from_sample(read_sample_file(spec[len("edf:"):]))
-    try:
+    text = spec.strip().lower()
+    if text == "uniform" or text.startswith("beta:"):
         return BetaDF(parse_distribution(spec))
-    except ValueError:
-        pass
     return read_function_csv(spec, mode=mode)
 
 

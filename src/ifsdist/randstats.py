@@ -38,7 +38,7 @@ are bit-identical on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
@@ -72,9 +72,6 @@ _BATCH = 8192
 # _STEPS each) then fill at most eight checks, about three once the window
 # has decided the far steps.
 _LANES = _BATCH // 8
-# Up to this many points, a CDF evaluation with points on both sides of the
-# symmetry split runs one continued fraction with per-point shapes.
-_SMALL = 512
 # The continued fraction stops a lane once an increment is within _CF_EPS of
 # 1; a lane still going after _CF_MAX_ITER terms keeps its last value.
 _CF_MAX_ITER = 400
@@ -83,14 +80,15 @@ _CF_EPS = 3e-15
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution; both must be positive."""
+    """Shape parameters of a Beta distribution; both must be finite and positive."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"Beta parameters must be positive, got ({self.alpha}, {self.beta})")
+        if not (0.0 < self.alpha < inf and 0.0 < self.beta < inf):
+            raise ValueError(
+                f"Beta parameters must be finite and positive, got ({self.alpha}, {self.beta})")
 
     def label(self) -> str:
         def fmt(v: float) -> str:
@@ -105,12 +103,12 @@ def parse_distribution(spec: str) -> BetaParams:
     if text == "uniform":
         return BetaParams(1.0, 1.0)
     if text.startswith("beta:"):
-        parts = text[len("beta:"):].split(",")
-        if len(parts) == 2:
-            try:
-                return BetaParams(float(parts[0]), float(parts[1]))
-            except ValueError:
-                pass
+        try:
+            alpha, beta = map(float, text[len("beta:"):].split(","))
+        except ValueError:
+            pass
+        else:
+            return BetaParams(alpha, beta)
     raise ValueError(f"cannot parse distribution spec {spec!r}; expected beta:A,B or uniform")
 
 
@@ -118,12 +116,13 @@ def parse_distribution(spec: str) -> BetaParams:
 # regularized incomplete beta function
 
 
-def _beta_cf(a, b, x: np.ndarray) -> np.ndarray:
+def _beta_cf(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
     """Continued fraction for the incomplete beta, vectorized modified Lentz.
 
-    ``a`` and ``b`` are scalars, or arrays shaped like ``x`` (one pair per
-    lane).  A lane leaves the iteration as soon as its increment is within
-    _CF_EPS of 1, so each lane's result is independent of the rest of the batch.
+    The first ``split`` lanes take the fraction of I_x(a, b), the rest that
+    of I_x(b, a); each half steps with its own scalar coefficients.  A lane
+    leaves the iteration as soon as its increment is within _CF_EPS of 1, so
+    each lane's result is independent of the rest of the batch.
 
     Lentz replaces a c or d below 1e-300 in magnitude by 1e-300.  Every c
     and d is computed as 1 + t or 1 - t, which is either 0 or at least
@@ -131,21 +130,24 @@ def _beta_cf(a, b, x: np.ndarray) -> np.ndarray:
     """
     tiny = 1e-300
     qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    per_lane = np.ndim(a) > 0
     out = np.empty_like(x)
     lane = np.arange(x.size)
     c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
+    d = np.empty_like(x)
+    d[:split] = 1.0 - qab * x[:split] / (a + 1.0)
+    d[split:] = 1.0 - qab * x[split:] / (b + 1.0)
     d[d == 0.0] = tiny
     np.divide(1.0, d, out=d)
     h = d.copy()
+    aa = np.empty_like(x)
+    halves = ((a, b, x[:split], aa[:split]), (b, a, x[split:], aa[split:]))
     for m in range(1, _CF_MAX_ITER + 1):
         if lane.size == 0:
             return out
         m2 = 2.0 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        for p, q, xs, t in halves:
+            np.multiply(m * (q - m), xs, out=t)
+            t /= (p - 1.0 + m2) * (p + m2)
         d *= aa
         d += 1.0
         d[d == 0.0] = tiny
@@ -155,7 +157,9 @@ def _beta_cf(a, b, x: np.ndarray) -> np.ndarray:
         np.divide(1.0, d, out=d)
         h *= d
         h *= c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for p, _, xs, t in halves:
+            np.multiply(-(p + m) * (qab + m), xs, out=t)
+            t /= (p + m2) * (p + 1.0 + m2)
         d *= aa
         d += 1.0
         d[d == 0.0] = tiny
@@ -171,14 +175,16 @@ def _beta_cf(a, b, x: np.ndarray) -> np.ndarray:
             done = np.flatnonzero(~going)
             out[lane[done]] = h[done]
             keep = np.flatnonzero(going)
-            lane, x, h, c, d = lane[keep], x[keep], h[keep], c[keep], d[keep]
-            if per_lane:
-                a, b, qab, qap, qam = a[keep], b[keep], qab[keep], qap[keep], qam[keep]
+            split = np.count_nonzero(going[:split])
+            lane, x, h, c, d, aa = lane[keep], x[keep], h[keep], c[keep], d[keep], aa[:keep.size]
+            halves = ((a, b, x[:split], aa[:split]), (b, a, x[split:], aa[split:]))
     out[lane] = h
     return out
 
 
 def _reg_inc_beta(alpha: float, beta: float, xs: np.ndarray) -> np.ndarray:
+    """I_x(alpha, beta) in one continued-fraction pass, the points above the
+    symmetry split (alpha+1)/(alpha+beta+2) after the rest, as 1 - I_{1-x}(beta, alpha)."""
     xs = np.asarray(xs, float)
     if alpha == 1.0 and beta == 1.0:  # I_x(1,1) = x exactly
         return np.clip(xs, 0.0, 1.0).astype(float)
@@ -191,25 +197,17 @@ def _reg_inc_beta(alpha: float, beta: float, xs: np.ndarray) -> np.ndarray:
     if inner.any():
         x = xs[inner]
         direct = x < (alpha + 1.0) / (alpha + beta + 2.0)
+        order = np.concatenate([np.flatnonzero(direct), np.flatnonzero(~direct)])
+        split = np.count_nonzero(direct)
+        w = x[order]
+        w[split:] = 1.0 - w[split:]
+        val = _beta_cf(alpha, beta, w, split)
         front = lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
-
-        def series(w, aa, bb):  # I_w(aa, bb), for w below the split
-            return np.exp(front + aa * np.log(w) + bb * np.log1p(-w)) * _beta_cf(aa, bb, w) / aa
-
-        if x.size <= _SMALL and 0 < np.count_nonzero(direct) < x.size:
-            # few points on both sides: one pass with per-lane shapes costs
-            # less than two passes with scalar ones
-            val = series(np.where(direct, x, 1.0 - x),
-                         np.where(direct, alpha, beta), np.where(direct, beta, alpha))
-            out[inner] = np.where(direct, val, 1.0 - val)
-        else:
-            val = np.empty_like(x)
-            for lanes, aa, bb, swap in ((np.flatnonzero(direct), alpha, beta, False),
-                                        (np.flatnonzero(~direct), beta, alpha, True)):
-                if lanes.size:
-                    v = series(1.0 - x[lanes] if swap else x[lanes], aa, bb)
-                    val[lanes] = 1.0 - v if swap else v
-            out[inner] = val
+        for half, p, q in ((slice(None, split), alpha, beta), (slice(split, None), beta, alpha)):
+            val[half] = np.exp(front + p * np.log(w[half]) + q * np.log1p(-w[half])) * val[half] / p
+        val[split:] = 1.0 - val[split:]
+        x[order] = val
+        out[inner] = x
         np.clip(out, 0.0, 1.0, out=out)
     return out
 

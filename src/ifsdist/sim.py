@@ -154,7 +154,12 @@ def _run_config(config: TrialConfig) -> TableRow:
     results = [run_trial(config, i) for i in range(config.trials)]
     mean_a = float(np.mean([r.d_estimator for r in results]))
     mean_b = float(np.mean([r.d_edf for r in results]))
-    ratio_pct = 100.0 * mean_a / mean_b if mean_b > 0.0 else float("nan")
+    if mean_b == 0.0:
+        raise ValueError(
+            f"{config.distribution.label()} n={config.n}: the e.d.f. equals the target at all "
+            f"{config.eval_points} evaluation points in every trial, so the ratio of means "
+            "is undefined; use more evaluation points")
+    ratio_pct = 100.0 * mean_a / mean_b
     mean_ratio_pct = 100.0 * float(np.mean([r.ratio for r in results]))
     row = TableRow(
         dist=config.distribution.label(),

@@ -93,6 +93,19 @@ class TestSimulate:
         assert "beta:0.05,2: 9 of 100 variates in trial 0 equal 2^-61" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points,seed", [(3, 3), (2, 0)])
+    def test_edf_distance_of_zero_is_rejected(self, points, seed, tmp_path, capsys):
+        # the e.d.f. equals F at 0 and 1, and at seed 3 also at 0.5, so the
+        # ratio of means has a zero denominator
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1",
+                         "--eval-points", str(points), "--seed", str(seed),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"beta:2,2 n=10: the e.d.f. equals the target at all {points} evaluation "
+                "points") in err
+        assert not out.exists()
+
 
 class TestInvert:
     def test_edf_self_partition_reaches_zero(self, sample_file, tmp_path):
@@ -281,6 +294,20 @@ class TestExitCodes:
         code = cli_main(["simulate", "--dist", "cauchy:0,1", "--n", "10",
                          "--trials", "1", "--out", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "beta:inf,2", "--n", "10", "--trials", "1"],
+        ["approximate", "--dist", "beta:inf,2", "--points", "4"],
+        ["invert", "--target", "beta:inf,2", "--partition", "auto:4"],
+        ["invert", "--target", "beta:0,2", "--partition", "auto:4"],
+    ], ids=["simulate-inf", "approximate-inf", "invert-inf", "invert-zero"])
+    def test_undefined_beta_shapes(self, argv, tmp_path, capsys):
+        # rejected when parsed, before any numpy arithmetic could warn (the
+        # suite turns warnings into errors), and never read as a CSV path
+        out = tmp_path / "x.out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert "Beta parameters must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

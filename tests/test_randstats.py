@@ -100,6 +100,9 @@ class TestBetaCdf:
             BetaParams(0.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             BetaParams(2.0, -1.0)
+        for bad in ((np.inf, 2.0), (2.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                BetaParams(*bad)
 
 
 class TestBetaQuantile:
@@ -202,9 +205,15 @@ class TestParseDistribution:
         for spec in ("beta:2,2", "beta:5,3"):
             assert parse_distribution(spec).label() == spec
 
-    @pytest.mark.parametrize("bad", ["gauss:0,1", "beta:2", "beta:a,b", ""])
+    @pytest.mark.parametrize("bad", ["gauss:0,1", "beta:2", "beta:a,b", "beta:1,2,3", ""])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError, match="cannot parse"):
+            parse_distribution(bad)
+
+    @pytest.mark.parametrize("bad", ["beta:inf,2", "beta:2,inf", "beta:0,2", "beta:-1,2",
+                                     "beta:nan,1"])
+    def test_undefined_shapes_keep_their_message(self, bad):
+        with pytest.raises(ValueError, match="must be finite and positive"):
             parse_distribution(bad)
 
 
@@ -212,14 +221,21 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("ab", ORACLE_SHAPES)
     def test_cdf_bit_identical(self, ab):
         rng = np.random.default_rng(31)
-        # sizes on both sides of the one-pass and split evaluations, with the
-        # special values 0, 1 and NaN
+        # one point to more than a bisection check's batch, with the special
+        # values 0, 1 and NaN
         for size in (1, 3, 20, 64, 65, 700, _BATCH + 5):
             xs = rng.random(size)
             if size >= 3:
                 xs[:3] = [0.0, 1.0, np.nan]
             assert np.array_equal(_reg_inc_beta(*ab, xs), reference_reg_inc_beta(*ab, xs),
                                   equal_nan=True)
+        # every point below the symmetry split, or every point at or above it:
+        # one half of the continued-fraction pass is empty
+        split = (ab[0] + 1.0) / (ab[0] + ab[1] + 2.0)
+        for size in (1, 20, 700):
+            for xs in (np.nextafter(split, 0.0) * rng.random(size),
+                       split + (1.0 - split) * rng.random(size)):
+                assert np.array_equal(_reg_inc_beta(*ab, xs), reference_reg_inc_beta(*ab, xs))
 
     @pytest.mark.parametrize("ab", ORACLE_SHAPES)
     def test_quantile_bit_identical(self, ab):

@@ -117,6 +117,11 @@ class TestRunTable:
             assert len(digits) <= 5
             float(cell)
 
+    def test_edf_distance_of_zero_is_rejected(self):
+        # at 0 and 1 the e.d.f. equals every target, so two points give mean_b = 0
+        with pytest.raises(ValueError, match="beta:2,2 n=20: .* all 2 evaluation points"):
+            run_table([cfg(eval_points=2, trials=3)])
+
     def test_empty_config_list(self):
         with pytest.raises(ValueError, match="no configurations"):
             run_table([])
