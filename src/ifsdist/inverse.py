@@ -104,8 +104,8 @@ class CollageProblem:
         xr, xl = xs[xs < 1.0], xs[xs > 0.0]
         cell_r, pulled_r = _pullback(table, xr)
         cell_l, pulled_l = _pullback(table, xl, left=True)
-        w_r, f_r = _at_preimages_and_points(target.eval_array, pulled_r, xr)
-        w_l, f_l = _at_preimages_and_points(target.eval_left_array, pulled_l, xl)
+        w_r, f_r = np.split(target.eval_array(np.concatenate([pulled_r, xr])), 2)
+        w_l, f_l = np.split(target.eval_left_array(np.concatenate([pulled_l, xl])), 2)
         cell, x = np.concatenate([cell_r, cell_l]), np.concatenate([xr, xl])
         is_left = np.arange(len(x)) >= len(xr)
         order = np.lexsort((is_left, x, cell))
@@ -130,17 +130,6 @@ class CollageProblem:
 
     def __repr__(self) -> str:
         return f"CollageProblem(k={self.k}, mode={self.mode!r}, rows={len(self._c)})"
-
-
-def _at_preimages_and_points(evaluate, pulled: np.ndarray, xs: np.ndarray):
-    """(evaluate(pulled), evaluate(xs)), evaluating once at each point that
-    pulls back onto itself (every point, under identity maps)."""
-    moved = pulled != xs
-    vals = evaluate(np.concatenate([xs, pulled[moved]]))
-    at_points = vals[:len(xs)]
-    at_pulled = at_points.copy()
-    at_pulled[moved] = vals[len(xs):]
-    return at_pulled, at_points
 
 
 def collage_distance(problem: CollageProblem, p) -> float:

@@ -62,6 +62,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # The quantile is the midpoint after this many bisection halvings of [0,1].
 _STEPS = 60
+# The least midpoint the bisection returns: every quantile below it ends there.
+_FLOOR = 2.0 ** -(_STEPS + 1)
 # The first this many midpoints from [0,1] are multiples of 2^-53 or coarser,
 # so a walk's state at that depth or less is computed without rounding.
 _EXACT = 53

@@ -5,8 +5,9 @@ Measurement protocol per trial: draw n points from the target CDF, build
 the k-quantile estimator system, iterate it s times from the uniform
 start, and take the max absolute deviation from the target over
 ``eval_points`` equally spaced points on [0,1] -- the same points used for
-the e.d.f. distance.  Randomness flows through per-trial substreams, so
-results do not depend on scheduling order.
+the e.d.f. distance, so both distances share one evaluation of the target
+there.  Randomness flows through per-trial substreams, so results do not
+depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from math import ceil
 import numpy as np
 
 from .constructions import quantile_estimator
-from .distfn import DistributionFunction, UniformDF, edf_from_sample, sup_distance
+from .distfn import UniformDF, edf_from_sample, sup_distance
 from .ifs import iterate_exact
-from .randstats import BetaDF, BetaParams, SeededRng, derive_substream, sample_beta
+from .randstats import _FLOOR, _STEPS, BetaDF, BetaParams, SeededRng, derive_substream, sample_beta
 
 __all__ = [
     "TrialConfig",
@@ -77,10 +78,6 @@ class TrialResult:
     ratio: float
 
 
-def _points_max(f: DistributionFunction, g: DistributionFunction, pts: np.ndarray) -> float:
-    return float(np.max(np.abs(f.eval_array(pts) - g.eval_array(pts))))
-
-
 def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     """One seeded trial: sample, estimator, and both sup-norm distances."""
     config.check()
@@ -93,14 +90,14 @@ def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
             f"{config.distribution.label()}: {at_one} of {config.n} variates in trial "
             f"{trial_index} rounded to 1.0, and the estimators need a sample strictly "
             "inside (0,1)")
-    # quantiles below 2^-61 all end on that least midpoint; one is a valid
+    # quantiles below _FLOOR all end on that least midpoint; one is a valid
     # sample value, two or more are duplicates
-    at_floor = int(np.count_nonzero(sample == 2.0**-61))
+    at_floor = int(np.count_nonzero(sample == _FLOOR))
     if at_floor > 1:
         raise ValueError(
             f"{config.distribution.label()}: {at_floor} of {config.n} variates in trial "
-            f"{trial_index} equal 2^-61, the least value that the 60-step bisection "
-            "returns, and the estimators need distinct sample values")
+            f"{trial_index} equal 2^-{_STEPS + 1}, the least value that the {_STEPS}-step "
+            "bisection returns, and the estimators need distinct sample values")
     system = quantile_estimator(sample, config.resolved_k())
     estimator = iterate_exact(system, UniformDF(), config.iters)
     edf = edf_from_sample(sample)
@@ -109,8 +106,9 @@ def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         d_edf = sup_distance(edf, target, grid_size=config.eval_points)
     else:
         pts = np.linspace(0.0, 1.0, config.eval_points)
-        d_est = _points_max(estimator, target, pts)
-        d_edf = _points_max(edf, target, pts)
+        f = target.eval_array(pts)
+        d_est = float(np.max(np.abs(estimator.eval_array(pts) - f)))
+        d_edf = float(np.max(np.abs(edf.eval_array(pts) - f)))
     ratio = d_est / d_edf if d_edf > 0.0 else float("nan")
     return TrialResult(d_est, d_edf, ratio)
 

@@ -9,6 +9,7 @@ from ifsdist import (
     BetaDF,
     BetaParams,
     CollageProblem,
+    DistributionFunction,
     GridDF,
     IfsSystem,
     UniformDF,
@@ -45,6 +46,25 @@ def single_point_distance(x1, p1):
     """Closed-form objective for the one-point problem with p = (p1, 1-p1):
     max{0, x1(1-p1), p1(1-x1), 0}."""
     return max(0.0, x1 * (1.0 - p1), p1 * (1.0 - x1), 0.0)
+
+
+class CountingDF(DistributionFunction):
+    """A carrier that counts its calls of each side's evaluation."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = {"right": 0, "left": 0}
+
+    def eval_array(self, xs):
+        self.calls["right"] += 1
+        return self._inner.eval_array(xs)
+
+    def eval_left_array(self, xs):
+        self.calls["left"] += 1
+        return self._inner.eval_left_array(xs)
+
+    def breakpoints(self):
+        return self._inner.breakpoints()
 
 
 class TestCollageDistance:
@@ -123,6 +143,19 @@ class TestCollageDistance:
             want = np.where(left, image.eval_left_array(xs) - target.eval_left_array(xs),
                             image.eval_array(xs) - target.eval_array(xs))
             np.testing.assert_allclose(problem.residuals(system.p), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "grid"])
+    def test_target_evaluated_once_per_side(self, mode):
+        rng = np.random.default_rng(17)
+        target = CountingDF(random_step_df(rng))
+        assert target.breakpoints().size
+        if mode == "exact":
+            problem = identity_problem(target, random_cuts(rng, 6))
+        else:
+            maps = quantile_ifs(BetaDF(BetaParams(2, 3)), 6).maps
+            problem = CollageProblem(target, maps, np.zeros(len(maps) - 1), grid_size=128)
+        assert problem.mode == mode
+        assert target.calls == {"right": 1, "left": 1}
 
     @pytest.mark.parametrize("case", range(8))
     def test_rows_are_ordered_by_cell_point_and_side(self, case):

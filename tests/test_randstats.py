@@ -12,7 +12,8 @@ from ifsdist import (
     sample_beta,
 )
 from ifsdist import randstats
-from ifsdist.randstats import _BATCH, _LANES, _beta_quantile_vec, _mix64, _reg_inc_beta
+from ifsdist.randstats import (_BATCH, _FLOOR, _LANES, _beta_quantile_vec, _mix64,
+                               _reg_inc_beta)
 
 from conftest import reference_quantile, reference_reg_inc_beta, reference_uniforms
 
@@ -177,6 +178,13 @@ class TestSampleBeta:
         xs = sample_beta(BetaParams(*ab), 2000, SeededRng(derive_substream(0, 0)))
         assert np.count_nonzero(xs == 1.0) == at_one
         assert np.all((xs > 0.0) & (xs <= 1.0))
+
+    def test_quantiles_below_the_floor_end_on_it(self):
+        # the 9 quantiles of trial 0 below 2^-61 all return the least midpoint
+        xs = sample_beta(BetaParams(0.05, 2), 100, SeededRng(derive_substream(0, 0)))
+        assert _FLOOR == 2.0**-61
+        assert xs.min() == _FLOOR
+        assert np.count_nonzero(xs == _FLOOR) == 9
 
     def test_uniform_mean_clt_band(self):
         # var 1/12, 3 sigma over n=1e4 is 0.0087 < 0.02

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from ifsdist import (
+    BetaDF,
     BetaParams,
+    SeededRng,
     TrialConfig,
     UniformDF,
+    derive_substream,
+    edf_from_sample,
+    iterate_exact,
+    quantile_estimator,
     run_table,
     run_trial,
+    sample_beta,
 )
 from ifsdist import sim
 from ifsdist.sim import CSV_HEADER
@@ -69,6 +76,28 @@ class TestRunTrial:
             assert 0.0 <= r.d_estimator <= 1.0
             assert 0.0 <= r.d_edf <= 1.0
             assert r.ratio == pytest.approx(r.d_estimator / r.d_edf)
+
+    def test_target_evaluated_once_per_trial(self, monkeypatch):
+        calls = []
+        eval_array = BetaDF.eval_array
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return eval_array(self, xs)
+
+        monkeypatch.setattr(BetaDF, "eval_array", counted)
+        config = cfg(distribution=BetaParams(5, 3), n=50)
+        result = run_trial(config, 2)
+        assert calls == [config.eval_points]
+        monkeypatch.undo()
+        # both distances, bit for bit, from separate evaluations of the target
+        sample = sample_beta(config.distribution, config.n, SeededRng(derive_substream(config.seed, 2)))
+        estimator = iterate_exact(quantile_estimator(sample, config.resolved_k()), UniformDF(),
+                                  config.iters)
+        target = BetaDF(config.distribution)
+        pts = np.linspace(0.0, 1.0, config.eval_points)
+        for g, d in [(estimator, result.d_estimator), (edf_from_sample(sample), result.d_edf)]:
+            assert d == float(np.max(np.abs(g.eval_array(pts) - target.eval_array(pts))))
 
     def test_exact_sup_dominates_pointwise(self):
         r_pts = run_trial(cfg(), 0)
