@@ -23,7 +23,8 @@ from ifsdist import (
     solve_inverse,
     sup_distance,
 )
-from ifsdist.inverse import _chain_cells, _chain_pass
+from ifsdist import inverse
+from ifsdist.inverse import _CHAIN_TOL, _chain_cells, _chain_pass, _chain_weights
 
 from conftest import (constraint_rows, convexity_witness, random_contractive_system,
                       random_cuts, random_identity_system, random_linear_df, random_step_df)
@@ -240,16 +241,22 @@ class TestSolveInverse:
         assert data["mode"] == "exact"
         assert data["iterations"] > 0
 
-    def test_iterations_count_forward_passes(self):
+    def test_iterations_count_forward_passes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(inverse, "_chain_pass",
+                            lambda *args: calls.append(args[2]) or _chain_pass(*args))
         exact = solve_inverse(single_point_problem(0.3))
+        assert exact.iterations == len(calls)
         maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.3)),
                 AffineMap.from_intervals((0.0, 1.0), (0.3, 1.0))]
         # a Beta target: the uniform is these maps' fixed point, with D* = 0
         grid = solve_inverse(CollageProblem(BetaDF(BetaParams(2, 2)), maps, [0.0],
                                             grid_size=16))
-        # a forward pass per bisection step: about log2(D / 1e-13) of them
-        assert exact.mode == "exact" and 30 <= exact.iterations <= 70
-        assert grid.mode == "grid" and 30 <= grid.iterations <= 70
+        assert grid.iterations == len(calls) - exact.iterations
+        # aimed passes decide most of the about log2(D / 1e-13) bisection
+        # midpoints without a pass of their own
+        assert exact.mode == "exact" and exact.iterations <= 20
+        assert grid.mode == "grid" and grid.iterations <= 20
 
     def test_subgradient_cross_check(self):
         rng = np.random.default_rng(29)
@@ -413,7 +420,7 @@ class TestChainCells:
         cells, t_floor = _chain_cells(np.asarray(cell), np.asarray(w, float),
                                       np.asarray(c, float), max(cell) + 1)
         lows, highs = [], []
-        ok = t >= t_floor and _chain_pass(cells, 1.0, t, lows, highs)
+        ok = t >= t_floor and _chain_pass(cells, 1.0, t, lows, highs)[0] >= 0.0
         return ok, lows, highs
 
     def test_two_row_cells_match_the_hull_construction(self):
@@ -444,6 +451,79 @@ class TestChainCells:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def bisection_oracle(problem, t_hi):
+    """Plain bisection from the solver's bracket, with a pass at every
+    midpoint: (least feasible t, p, number of passes)."""
+    total = problem.weight_sum
+    cells, t_lo = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
+                               problem._c, problem.k)
+    passes = 2  # the pass at t_hi and the one that stores the intervals
+    while t_hi - t_lo > _CHAIN_TOL:
+        t = 0.5 * (t_lo + t_hi)
+        passes += 1
+        if _chain_pass(cells, total, t)[0] >= 0.0:
+            t_hi = t
+        else:
+            t_lo = t
+    lows, highs = [], []
+    _chain_pass(cells, total, t_hi, lows, highs)
+    return t_hi, _chain_weights(cells, total, t_hi, lows, highs), passes
+
+
+def random_aim_problem(rng, kind, case):
+    """Identity cells with offsets that may be negative, quantile_ifs maps or
+    maps from [0,1) onto random cells, fitted to a Beta, a step or a linear
+    target in turn."""
+    target = [lambda: BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2))),
+              lambda: random_step_df(rng), lambda: random_linear_df(rng)][case % 3]()
+    if kind == "identity":
+        system = random_identity_system(rng, k_range=(2, 30), negative_delta=True)
+        return CollageProblem(target, system.maps, system.delta)
+    if kind == "quantile":
+        source = BetaDF(BetaParams(*rng.uniform(0.5, 5.0, size=2)))
+        maps = quantile_ifs(source, int(rng.integers(1, 20))).maps
+        return CollageProblem(target, maps, np.zeros(len(maps) - 1),
+                              grid_size=int(rng.integers(16, 200)))
+    system = random_contractive_system(rng, k_range=(2, 20))
+    return CollageProblem(target, system.maps, system.delta,
+                          grid_size=int(rng.integers(16, 200)))
+
+
+class TestAimedBisection:
+    """The solver ends where plain bisection on the same pass ends."""
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["identity", "quantile", "contractive"]))
+    def test_bit_identical_to_plain_bisection(self, seed, kind, monkeypatch):
+        calls, ends = [], []
+        monkeypatch.setattr(inverse, "_chain_pass",
+                            lambda *args: calls.append(args[2]) or _chain_pass(*args))
+        monkeypatch.setattr(inverse, "_chain_weights",
+                            lambda *args: ends.append(args[2]) or _chain_weights(*args))
+        rng = np.random.default_rng((53, seed))
+        aimed, plain = [], []
+        for case in range(110):
+            problem = random_aim_problem(rng, kind, case)
+            calls.clear()
+            ends.clear()
+            sol = solve_inverse(problem)
+            # the solver's first pass is at the upper end of its bracket
+            t_star, p_star, passes = bisection_oracle(problem, calls[0])
+            assert ends == [t_star]
+            assert sol.p_star.tobytes() == p_star.tobytes()
+            assert len(calls) == sol.iterations <= passes + 3
+            aimed.append(sol.iterations)
+            plain.append(passes)
+        assert 3 * sum(aimed) <= sum(plain)
+
+    def test_zero_slack_is_feasible(self):
+        # one cell that asks y >= 1.5 - t of y = P_1 = 1: at t = 0.5 the
+        # interval [1, 1] is a point, and the pass makes t the feasible end
+        cells = [(1.5, ())]
+        assert _chain_pass(cells, 1.0, 0.5) == (0.0, 1.0)
+        bad, ok = (0.0, -1.0, 1.0), (1.0, 0.5, 1.0)
+        assert inverse._probe(cells, 1.0, 0.5, bad, ok) == (bad, (0.5, 0.0, 1.0))
 
 
 class TestConvexity:

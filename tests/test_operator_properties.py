@@ -20,6 +20,8 @@ from ifsdist import (
     sup_distance,
 )
 
+from ifsdist.inverse import _chain_cells, _chain_pass
+
 from conftest import convexity_witness
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -118,3 +120,29 @@ def test_solution_beats_feasible_weights(problem, data):
     p = raw / raw.sum() * problem.weight_sum
     d_star = collage_distance(problem, solve_inverse(problem).p_star)
     assert d_star <= collage_distance(problem, p) + 1e-12
+
+
+@SETTINGS
+@hypothesis.given(problem=problems(), data=st.data())
+def test_pass_verdict_is_monotone_in_t(problem, data):
+    # the solver decides a bisection midpoint from passes at other t, so a
+    # pass that succeeds at t1 must succeed at every t2 > t1, to the ulp
+    cells, _ = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
+                            problem._c, problem.k)
+
+    def feasible(t):
+        return _chain_pass(cells, problem.weight_sum, t)[0] >= 0.0
+
+    def ulps(t, n):
+        return t if n == 0 else ulps(float(np.nextafter(t, np.sign(n) * np.inf)), n - np.sign(n))
+
+    lo, hi = 0.0, 2.0
+    assert feasible(hi)
+    for _ in range(100):  # down to the last t that fails, if any does
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    t1 = ulps(lo, data.draw(st.integers(-4, 4)))
+    t2 = ulps(t1, data.draw(st.integers(1, 8)))
+    t3 = t2 + data.draw(st.floats(0.0, 0.1))
+    verdicts = [feasible(t) for t in (t1, t2, t3)]
+    assert verdicts == sorted(verdicts)
