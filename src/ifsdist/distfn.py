@@ -233,12 +233,7 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    return _sup_on(f, g, _merged_points(grid_size, f.breakpoints(), g.breakpoints()))
-
-
-def _sup_on(f: DistributionFunction, g: DistributionFunction, xs: np.ndarray) -> float:
-    """Max of |F - G| over the points xs: right values at every point and
-    left limits at the points above 0."""
+    xs = _merged_points(grid_size, f.breakpoints(), g.breakpoints())
     d = float(np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))))
     interior = xs[xs > 0.0]
     if interior.size:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distfn import DistributionFunction, GridDF, UniformDF, _nonfinite_violation, _sup_on
+from .distfn import DistributionFunction, GridDF, UniformDF, _nonfinite_violation
 
 __all__ = [
     "AffineMap",
@@ -340,8 +340,8 @@ def perturbation_bound(p, p_star, c: float) -> float:
         problem = _nonfinite_violation(name, values)
         if problem:
             raise ValueError(problem)
-    if not c < 1.0:
-        raise ValueError(f"contractivity constant must be < 1, got {c}")
+    if not 0.0 <= c < 1.0:
+        raise ValueError(f"contractivity constant must satisfy 0 <= c < 1, got {c}")
     return float(np.sum(np.abs(p - p_star)) / (1.0 - c))
 
 
@@ -489,21 +489,15 @@ def default_mesh(system: IfsSystem, u0: DistributionFunction | None = None) -> n
     return mesh[(mesh >= 0.0) & (mesh <= 1.0)]
 
 
-def _sample_grid(system: IfsSystem, vals_right: np.ndarray, mesh: np.ndarray) -> GridDF:
-    mode = "step" if system.identity_partition else "linear"
-    vals = np.clip(vals_right, 0.0, 1.0)
-    vals = np.maximum.accumulate(vals)
-    vals[0], vals[-1] = 0.0, 1.0
-    return GridDF(mesh, vals, mode=mode)
-
-
 def iterate(system: IfsSystem, u0: DistributionFunction, s: int) -> GridDF:
     """T^s u0 sampled on its default mesh."""
     if s < 1:
         raise ValueError("iteration count must be >= 1")
-    it = IteratedDF(system, u0, depth=s)
-    base = default_mesh(system, u0)
-    return _sample_grid(system, it.eval_array(base), base)
+    mesh = default_mesh(system, u0)
+    vals = np.clip(IteratedDF(system, u0, depth=s).eval_array(mesh), 0.0, 1.0)
+    vals = np.maximum.accumulate(vals)
+    vals[0], vals[-1] = 0.0, 1.0
+    return GridDF(mesh, vals, mode="step" if system.identity_partition else "linear")
 
 
 class FixedPointResult(NamedTuple):
@@ -513,44 +507,30 @@ class FixedPointResult(NamedTuple):
 
 
 def fixed_point(system: IfsSystem, tol: float = 1e-9) -> FixedPointResult:
-    """Approximate the unique fixed point by iterating from the uniform start.
+    """Approximate the unique fixed point F* by T^s u from the uniform start.
 
-    Iterates until d = d(T^{s+1} u, T^s u) drops below tol*(1-c)/c and
-    returns T^{s+1} u with the bound c/(1-c)*d <= tol.  Requires c < 1.  d is
-    a maximum over the mesh (right values and left limits), not the sup over
-    [0,1].  Identity-partition iterates are affine on each cell and the mesh
-    holds every cell end, so there the bound is certified at the mesh points;
-    for general maps it is an estimate, which the error on the mesh can exceed.
+    T is a sup-norm contraction with constant c = max p_i < 1, and u and F*
+    both lie in [0,1], so |T^s u - F*| <= c^s everywhere; s is the least
+    s >= 1 with c^s <= tol, and error_bound = c^s.  That bounds the error of
+    the exact iterate ``iterate_exact(system, UniformDF(), iterations)`` at
+    every x, and of the returned mesh sample at every mesh point.  For
+    identity partitions F* is constant on each cell and the mesh holds every
+    cell end, so the step sample is within the bound on all of [0,1]; for
+    general maps the bound does not cover the linear interpolant between
+    mesh points.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     c = contractivity(system)
     if c >= 1.0:
         raise ValueError(f"system is not contractive: max weight = {c}")
-    mesh = default_mesh(system)
-    u0 = UniformDF()
-    threshold = np.inf if c == 0.0 else tol * (1.0 - c) / c
-
-    def gap_at(s: int) -> float:
-        """d_sup(T^{s+1} u0, T^s u0) on the mesh."""
-        before = iterate_exact(system, u0, s) if s else u0
-        return _sup_on(iterate_exact(system, u0, s + 1), before, mesh)
-
-    d1 = gap_at(0)
-    s = 0
-    if d1 > threshold:
-        # d(T^{s+1}u, T^s u) <= c^s d(Tu, u): jump to the predicted depth
-        s = max(1, ceil(log(threshold / d1) / log(c)))
-        for _ in range(64):
-            gap = gap_at(s)
-            if gap <= threshold:
-                d1 = gap
-                break
-            s += max(1, s // 4)
-        else:
-            raise RuntimeError("fixed-point iteration failed to converge")
-    bound = 0.0 if c == 0.0 else c / (1.0 - c) * d1
-    return FixedPointResult(iterate(system, u0, s + 1), s + 1, float(bound))
+    s = 1 if c == 0.0 or tol >= 1.0 else ceil(log(tol) / log(c))
+    # the logarithms round, so settle s on the powers themselves
+    while c**s > tol:
+        s += 1
+    while s > 1 and c ** (s - 1) <= tol:
+        s -= 1
+    return FixedPointResult(iterate(system, UniformDF(), s), s, float(c**s))
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,10 @@ def collage_distance(problem: CollageProblem, p) -> float:
 
 def collage_bound(epsilon: float, c: float) -> float:
     """Fixed-point distance guarantee epsilon/(1-c) from a collage distance."""
-    if not epsilon >= 0.0:
-        raise ValueError("epsilon must be non-negative")
-    if not c < 1.0:
-        raise ValueError(f"contractivity constant must be < 1, got {c}")
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if not 0.0 <= c < 1.0:
+        raise ValueError(f"contractivity constant must satisfy 0 <= c < 1, got {c}")
     return epsilon / (1.0 - c)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -443,7 +445,6 @@ class TestContraction:
             system = random_identity_system(rng)
             c = contractivity(system)
             u = UniformDF()
-            mesh = default_mesh(system, u)
             gaps = []
             prev = u
             for s in range(1, 6):
@@ -475,14 +476,42 @@ class TestFixedPoint:
         assert np.max(np.abs(got - target)) <= 1e-10
 
     def test_certified_bound_against_longer_run(self):
+        # |T^s u - F*| <= c^s and |T^{ms} u - F*| <= c^{ms} at every x
         rng = np.random.default_rng(61)
-        for _ in range(8):
-            system = random_identity_system(rng, negative_delta=True)
-            result = fixed_point(system, tol=1e-7)
-            longer = iterate_exact(system, UniformDF(), 10 * result.iterations)
+        identity = [random_identity_system(rng, negative_delta=True) for _ in range(8)]
+        rng = np.random.default_rng(61)
+        general = [random_contractive_system(rng) for _ in range(100)]
+        for system, tol in itertools.product(identity + general, (1e-7, 1e-11)):
+            result = fixed_point(system, tol=tol)
+            assert result.error_bound <= tol
+            # general maps walk all 4097 mesh points, so their comparator
+            # runs 2 times deeper, not 10, to keep the test fast
+            depth = (10 if system.identity_partition else 2) * result.iterations
+            longer = iterate_exact(system, UniformDF(), depth)
+            slack = contractivity(system) ** depth
             mesh = default_mesh(system)
             err = np.max(np.abs(result.df.eval_array(mesh) - longer.eval_array(mesh)))
-            assert err <= result.error_bound + 1e-15
+            assert err <= result.error_bound + slack
+            if system.identity_partition:
+                # F* is constant on each cell and the mesh holds every cell
+                # end, so the step sample is within the bound on all of [0,1]
+                assert sup_distance(result.df, longer) <= result.error_bound + slack
+
+    def test_least_depth_within_tol(self):
+        # log(1e-9)/log(0.1) rounds to 9, but 0.1**9 = 1.0000000000000005e-09
+        system = edf_ifs(np.linspace(0.05, 0.95, 10))
+        c = contractivity(system)
+        result = fixed_point(system, tol=1e-9)
+        assert result.error_bound == c**result.iterations <= 1e-9
+        assert c ** (result.iterations - 1) > 1e-9
+
+    def test_zero_contractivity(self):
+        maps = [AffineMap.identity(0.0, 0.5), AffineMap.identity(0.5, 1.0)]
+        system = IfsSystem(maps, (0.0, 0.0), (1.0,))
+        result = fixed_point(system, tol=1e-9)
+        assert (result.iterations, result.error_bound) == (1, 0.0)
+        got = result.df.eval_array(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        assert np.array_equal(got, [0.0, 0.0, 1.0, 1.0, 1.0])
 
     def test_df_is_the_operator_iterate(self):
         # the loop returns the sampled iterate T^s u0 that iterate() builds
@@ -515,8 +544,9 @@ class TestPerturbation:
     def test_validation(self):
         with pytest.raises(ValueError, match="equal length"):
             perturbation_bound([0.5], [0.4, 0.6], 0.5)
-        with pytest.raises(ValueError, match="< 1"):
-            perturbation_bound([0.5, 0.5], [0.4, 0.6], 1.0)
+        for c in (1.0, -3.0, float("-inf"), float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="< 1"):
+                perturbation_bound([0.5, 0.5], [0.4, 0.6], c)
         with pytest.raises(ValueError, match="finite"):
             perturbation_bound([float("nan"), 0.5], [0.4, 0.6], 0.5)
         with pytest.raises(ValueError, match="finite"):

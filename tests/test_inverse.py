@@ -552,12 +552,12 @@ class TestCollageBound:
         assert collage_bound(0.0, 0.9) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="< 1"):
-            collage_bound(0.1, 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            collage_bound(-0.1, 0.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            collage_bound(float("nan"), 0.5)
+        for c in (1.0, -3.0, float("-inf"), float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="< 1"):
+                collage_bound(0.1, c)
+        for epsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative"):
+                collage_bound(epsilon, 0.5)
 
     def test_single_point_bound_holds(self):
         # solver output at x1 = 0.3: D* = 0.21, c = 0.7, bound = 0.7

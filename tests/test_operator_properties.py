@@ -16,6 +16,7 @@ from ifsdist import (
     contractivity,
     edf_from_sample,
     edf_ifs,
+    fixed_point,
     solve_inverse,
     sup_distance,
 )
@@ -95,6 +96,18 @@ def test_edf_is_the_fixed_point(sample):
     # T E = E with c = 1/n < 1, so E is the unique fixed point
     edf = edf_from_sample(sample)
     assert sup_distance(apply(edf_ifs(sample), edf), edf) <= 1e-12
+
+
+@SETTINGS
+@hypothesis.given(system=systems(), k=st.integers(1, 60),
+                  scale=st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+def test_fixed_point_depth_is_least_within_tol(system, k, scale):
+    # tol = c^k exactly (scale 1) is where the logarithm's rounding shows
+    c = contractivity(system)
+    tol = scale * c**k
+    result = fixed_point(system, tol=tol)
+    assert result.error_bound == c**result.iterations <= tol
+    assert result.iterations == 1 or c ** (result.iterations - 1) > tol
 
 
 @st.composite
