@@ -107,6 +107,9 @@ class GridDF(DistributionFunction):
             raise ValueError(f"unknown GridDF mode {mode!r}")
         if bps.ndim != 1 or bps.shape != vals.shape or len(bps) < 2:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length >= 2")
+        problem = _nonfinite_violation("breakpoints", bps) or _nonfinite_violation("values", vals)
+        if problem:
+            raise ValueError(problem)
         if not (np.all(np.diff(bps) > 0.0)):
             raise ValueError("breakpoints must be strictly increasing")
         if abs(bps[0]) > 1e-12 or abs(bps[-1] - 1.0) > 1e-12:
@@ -214,12 +217,11 @@ def edf_from_sample(sample) -> EmpiricalDF:
 
 
 def _merged_points(grid_size: int, *point_sets) -> np.ndarray:
-    pts = [np.linspace(0.0, 1.0, grid_size)]
-    for ps in point_sets:
-        ps = np.asarray(ps, float)
-        if ps.size:
-            pts.append(ps)
-    return np.unique(np.concatenate(pts))
+    """The sorted distinct points of ``np.linspace(0, 1, grid_size)`` and of every
+    set, kept within [0,1]: the one builder of evaluation sets, for sup
+    distances, CSV dumps, default meshes and collage rows."""
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), *map(np.ravel, point_sets)]))
+    return xs[(xs >= 0.0) & (xs <= 1.0)]
 
 
 def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: int = 20) -> float:
@@ -235,11 +237,8 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
         raise ValueError("grid_size must be >= 2")
     xs = _merged_points(grid_size, f.breakpoints(), g.breakpoints())
     d = float(np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))))
-    interior = xs[xs > 0.0]
-    if interior.size:
-        dl = float(np.max(np.abs(f.eval_left_array(interior) - g.eval_left_array(interior))))
-        d = max(d, dl)
-    return d
+    interior = xs[xs > 0.0]  # never empty: the grid holds 1
+    return max(d, float(np.max(np.abs(f.eval_left_array(interior) - g.eval_left_array(interior)))))
 
 
 def read_sample_file(path) -> np.ndarray:
@@ -265,10 +264,8 @@ def write_function_csv(f: DistributionFunction, path, mesh=None) -> None:
     When ``mesh`` is omitted a 513-point uniform grid united with the
     function's breakpoints is used.
     """
-    if mesh is None:
-        mesh = _merged_points(513, f.breakpoints())
-    else:
-        mesh = np.unique(np.asarray(mesh, float))
+    mesh = (_merged_points(513, f.breakpoints()) if mesh is None
+            else np.unique(np.asarray(mesh, float)))
     vals = f.eval_array(mesh)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,value\n")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distfn import DistributionFunction
+from .distfn import DistributionFunction, _merged_points
 from .ifs import _TOL, _MapTable, _pullback
 
 __all__ = [
@@ -66,7 +66,9 @@ class CollageProblem:
     ``mode`` is derived: "exact" if every map is the identity (rows at the
     cells' ends only, exact sup), "grid" otherwise (``grid_size`` uniform
     points added).  The rows, with D(p) = max |row(p)|, are assembled once;
-    ``eval_spots`` holds each row's (x, is_left_limit).
+    ``eval_spots`` holds each row's (x, is_left_limit).  Every target value
+    a row reads, at its point and its preimage, must be finite and in [0,1]:
+    the assembly checks this once (ValueError) and stores w clipped to [0,1].
     """
 
     def __init__(self, target: DistributionFunction, maps, delta, grid_size: int = 512):
@@ -95,29 +97,29 @@ class CollageProblem:
 
     def _assemble(self) -> None:
         target, table = self.target, self._table
-        pts = [table.starts, table.ends]
+        point_sets = [table.starts, table.ends]
         if self.mode == "grid":
-            pts.append(np.linspace(0.0, 1.0, self.grid_size))
             bps = np.asarray(target.breakpoints(), float)
             if bps.size:
-                pts += [bps, table.images(bps)]
-        xs = np.unique(np.concatenate(pts))
-        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+                point_sets += [bps, table.images(bps)]
+        xs = _merged_points(self.grid_size if self.mode == "grid" else 0, *point_sets)
         # a right-value row at every x < 1 and a left-limit row at every
         # x > 0; T_p F(1) = 1 = F(1) would only restate sum p = weight_sum
         xr, xl = xs[xs < 1.0], xs[xs > 0.0]
         cell_r, pulled_r = _pullback(table, xr)
         cell_l, pulled_l = _pullback(table, xl, left=True)
-        w_r, f_r = np.split(target.eval_array(np.concatenate([pulled_r, xr])), 2)
-        w_l, f_l = np.split(target.eval_left_array(np.concatenate([pulled_l, xl])), 2)
+        right = target.eval_array(np.concatenate([pulled_r, xr]))
+        left = target.eval_left_array(np.concatenate([pulled_l, xl]))
+        # every value a row reads, w and F(x); NaN fails both comparisons
+        if not all(np.all((v >= -_TOL) & (v <= 1.0 + _TOL)) for v in (right, left)):
+            raise ValueError("target values must lie in [0,1]")
+        (w_r, f_r), (w_l, f_l) = np.split(right, 2), np.split(left, 2)
         cell, x = np.concatenate([cell_r, cell_l]), np.concatenate([xr, xl])
         is_left = np.arange(len(x)) >= len(xr)
         order = np.lexsort((is_left, x, cell))
-        w = np.concatenate([w_r, w_l])[order]
-        if not np.all((w >= -_TOL) & (w <= 1.0 + _TOL)):  # the chain solver needs w in [0,1]
-            raise ValueError("target values must lie in [0,1]")
         cum_delta = np.concatenate([[0.0], np.cumsum(self.delta)])
-        self._cell, self._w = cell[order], w
+        # w in [0,1] exactly, and + 0.0 turns -0.0 into 0.0, so 1/w is never -inf
+        self._cell, self._w = cell[order], np.clip(np.concatenate([w_r, w_l])[order], 0, 1) + 0.0
         self._c = np.concatenate([f_r, f_l])[order] - cum_delta[self._cell]
         for arr in (self._cell, self._w, self._c):
             arr.flags.writeable = False
@@ -244,8 +246,7 @@ def _solve_chain(problem: CollageProblem):
     and the solver never makes more than that many extra passes.
     """
     total = problem.weight_sum
-    cells, t_floor = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
-                                  problem._c, problem.k)
+    cells, t_floor = _chain_cells(problem._cell, problem._w, problem._c, problem.k)
 
     # upper end of the bracket: D at the weights F(end_i) - F(start_i) of
     # each map's image, which sum to at least 1 - F(0)

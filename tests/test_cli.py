@@ -193,6 +193,27 @@ class TestInvert:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_in_csv_target_is_named(self, tmp_path, capsys):
+        fn = tmp_path / "target.csv"
+        fn.write_text("x,value\n0,0\n0.4,nan\n1,1\n")
+        out = tmp_path / "report.json"
+        code = cli_main(["invert", "--target", str(fn), "--partition", "auto:2",
+                         "--out", str(out)])
+        assert code == 1
+        assert "values must be finite, found nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_zero_in_csv_target(self, tmp_path):
+        # -0 in a step target used to reach the chain solver as w = -0.0,
+        # whose reciprocal -inf rejected every t
+        fn = tmp_path / "target.csv"
+        fn.write_text("x,value\n0,0\n0.4,-0\n1,1\n")
+        out = tmp_path / "report.json"
+        code = cli_main(["invert", "--target", str(fn), "--target-mode", "step",
+                         "--partition", "auto:2", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["D_star"] >= 0.0
+
     def test_csv_target(self, tmp_path):
         fn = tmp_path / "target.csv"
         xs = np.linspace(0.0, 1.0, 21)
@@ -204,6 +225,25 @@ class TestInvert:
         ])
         assert code == 0
         assert json.loads(out.read_text())["D_star"] > 0.0
+
+
+class TestValidSystemsPassValidation:
+    # maps whose targets are a few 1e-5 wide used to fail a round-trip check
+    # on inverse(forward(x)) in source units at an absolute 1e-12
+
+    def test_simulate_uniform_large_n(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        code = cli_main(["simulate", "--dist", "uniform", "--n", "10000", "--seed", "0",
+                         "--trials", "8", "--out", str(out)])
+        assert code == 0
+        assert out.exists()
+
+    def test_estimate_with_close_sample_points(self, tmp_path):
+        sample = tmp_path / "s.txt"
+        sample.write_text("0.1\n0.3\n0.5\n0.500001\n0.7\n0.9\n")
+        out = tmp_path / "est.csv"
+        assert cli_main(["estimate", "--sample", str(sample), "--k", "5",
+                         "--out", str(out)]) == 0
 
 
 class TestApproximate:

@@ -234,6 +234,15 @@ class TestGridDF:
         with pytest.raises(ValueError, match="mode"):
             GridDF([0.0, 1.0], [0.0, 1.0], mode="cubic")
 
+    @pytest.mark.parametrize("grid, values, message", [
+        ([0.0, 0.5, 1.0], [0.0, float("nan"), 1.0], "values must be finite, found nan"),
+        ([0.0, float("inf"), 1.0], [0.0, 0.5, 1.0], "breakpoints must be finite, found inf"),
+    ])
+    def test_non_finite_entries_are_named(self, grid, values, message):
+        # NaN passes every ordering and range comparison of the later checks
+        with pytest.raises(ValueError, match=message):
+            GridDF(grid, values)
+
 
 class TestFileIO:
     def test_sample_file_round_trip(self, tmp_path):
@@ -262,6 +271,12 @@ class TestFileIO:
         g = read_function_csv(path, mode="linear")
         xs = np.linspace(0.0, 1.0, 301)
         assert np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))) < 1e-14
+
+    def test_function_csv_non_finite_value(self, tmp_path):
+        path = tmp_path / "fn.csv"
+        path.write_text("x,value\n0,0\n0.5,nan\n1,1\n")
+        with pytest.raises(ValueError, match="values must be finite, found nan"):
+            read_function_csv(path)
 
     def test_function_csv_header_check(self, tmp_path):
         path = tmp_path / "fn.csv"

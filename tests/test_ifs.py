@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ifsdist import (
     validate,
 )
 
+from ifsdist import ifs
 from ifsdist.ifs import _LONG_RUN, _MapTable, _image_breakpoints
 
 from conftest import (
@@ -266,6 +268,12 @@ class TestValidate:
             "last source must end at 1, got 1.2",
             "targets 1 and 2 leave a gap of 0.5",
         ]
+
+    def test_empty_target_in_floating_point(self):
+        # slope * 1 + 0.5 rounds to 0.5, so the target [0.5, 0.5) is empty
+        maps = [AffineMap(0.0, 1.0, 0.5, 0.0), AffineMap(0.0, 1.0, 1e-310, 0.5)]
+        found = validate(IfsSystem(maps, (0.5, 0.5), (0.0,)))
+        assert "map 1: target [0.5,0.5) is empty" in found
 
     def test_identity_flag_needs_a_valid_partition(self):
         maps = [AffineMap.identity(0.0, 0.5), AffineMap.identity(0.5, 1.0)]
@@ -525,6 +533,24 @@ class TestFixedPoint:
             expected = iterate(system, UniformDF(), result.iterations)
             assert np.array_equal(result.df.grid, expected.grid)
             assert np.array_equal(result.df.values, expected.values)
+
+    HALVES = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
+              AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0))]
+
+    def test_depth_limit_near_unit_contractivity(self, monkeypatch):
+        # c = 0.999999 needs about 2.1e7 steps to reach 1e-9: the limit is
+        # checked before the iterate is built, whose mesh walks would hang
+        monkeypatch.setattr(ifs, "iterate", lambda *args: pytest.fail("iterate was called"))
+        system = IfsSystem(self.HALVES, (0.999999, 0.000001), (0.0,))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"c = 0.999999 needs s = \d+ > 100000 steps "
+                                             r"to reach tol = 1e-09"):
+            fixed_point(system, 1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_depth_below_the_limit(self):
+        result = fixed_point(IfsSystem(self.HALVES, (0.99, 0.01), (0.0,)), 1e-9)
+        assert result.iterations == 2062 and result.error_bound <= 1e-9
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError, match="positive"):

@@ -10,6 +10,7 @@ from ifsdist import (
     BetaParams,
     CollageProblem,
     DistributionFunction,
+    FuncDF,
     GridDF,
     IfsSystem,
     UniformDF,
@@ -410,6 +411,17 @@ class TestDegenerateRows:
         problem = CollageProblem(target, maps, [0.0], grid_size=64)
         assert_matches_highs(problem, solve_inverse(problem))
 
+    @pytest.mark.parametrize("cuts, d_star", [((0.0, 0.4, 1.0), 0.1344),
+                                              ((0.0, 0.2, 0.6, 1.0), 16 / 105)])
+    def test_negative_zero_target_value(self, cuts, d_star):
+        # F(0) = -0.0 is a row's w; its reciprocal -inf in the two-row cell
+        # builder used to make the solver reject every t
+        target = FuncDF(lambda x: np.where(x == 0.0, -0.0, x * x))
+        problem = identity_problem(target, cuts)
+        sol = solve_inverse(problem)
+        assert_matches_highs(problem, sol)
+        assert sol.d_star == pytest.approx(d_star, abs=1e-12)
+
 
 class TestChainCells:
     """The per-cell bound terms that the forward pass reads."""
@@ -423,9 +435,23 @@ class TestChainCells:
         ok = t >= t_floor and _chain_pass(cells, 1.0, t, lows, highs)[0] >= 0.0
         return ok, lows, highs
 
+    @staticmethod
+    def _last_cell(cell, w, c):
+        """The last cell's top and its terms merged by (q, r), and the t floor."""
+        cells, t_floor = _chain_cells(np.asarray(cell), np.asarray(w, float),
+                                      np.asarray(c, float), max(cell) + 1)
+        top, terms = cells[-1]
+        merged = {}
+        for cl, cu, q, r in terms:
+            lo, hi = merged.get((q, r), (np.inf, -np.inf))
+            merged[q, r] = (min(lo, cl), max(hi, cu))
+        return top, merged, t_floor
+
     def test_two_row_cells_match_the_hull_construction(self):
         # a two-row cell takes the closed form; with its first row repeated
-        # it has three rows and goes through the monotone chain
+        # it has three rows and goes through the monotone chain.  The bound
+        # terms must agree, not only the intervals at a few t: a term that a
+        # cell loses may bind only at t that the samples miss
         rng = np.random.default_rng(47)
         for trial in range(300):
             w = rng.uniform(0.0, 1.0, 2)
@@ -435,6 +461,7 @@ class TestChainCells:
             head_w, head_c = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 0.6, 3)
             two = ([0, 0, 0, 1, 1], np.r_[head_w, w], np.r_[head_c, c])
             three = ([0, 0, 0, 1, 1, 1], np.r_[head_w, w, w[:1]], np.r_[head_c, c, c[:1]])
+            assert self._last_cell(*two) == self._last_cell(*three)
             for t in rng.uniform(0.0, 0.5, 5).tolist():
                 assert self._intervals(*two, t) == self._intervals(*three, t)
 
@@ -457,8 +484,7 @@ def bisection_oracle(problem, t_hi):
     """Plain bisection from the solver's bracket, with a pass at every
     midpoint: (least feasible t, p, number of passes)."""
     total = problem.weight_sum
-    cells, t_lo = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
-                               problem._c, problem.k)
+    cells, t_lo = _chain_cells(problem._cell, problem._w, problem._c, problem.k)
     passes = 2  # the pass at t_hi and the one that stores the intervals
     while t_hi - t_lo > _CHAIN_TOL:
         t = 0.5 * (t_lo + t_hi)
@@ -516,6 +542,14 @@ class TestAimedBisection:
             aimed.append(sol.iterations)
             plain.append(passes)
         assert 3 * sum(aimed) <= sum(plain)
+
+    def test_identity_problems_match_highs(self):
+        # identity cells with negative offsets: every exact-mode cell has
+        # two rows and takes the closed form of _two_row_cells
+        rng = np.random.default_rng((53, 0))
+        for case in range(110):
+            problem = random_aim_problem(rng, "identity", case)
+            assert_matches_highs(problem, solve_inverse(problem))
 
     def test_zero_slack_is_feasible(self):
         # one cell that asks y >= 1.5 - t of y = P_1 = 1: at t = 0.5 the
@@ -582,3 +616,13 @@ class TestProblemValidation:
         maps = [AffineMap.identity(0.0, 0.4), AffineMap.identity(0.5, 1.0)]
         with pytest.raises(ValueError, match="gap"):
             CollageProblem(UniformDF(), maps, [0.0])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, -0.2])
+    def test_target_values_checked_at_the_points(self, value):
+        # the grid point 0.3 is no row's preimage, so only its F(x) reads the
+        # value; a NaN there used to make solve_inverse spin
+        spot = np.linspace(0.0, 1.0, 11)[3]
+        target = FuncDF(lambda x: np.where(x == spot, value, x))
+        maps = quantile_ifs(BetaDF(BetaParams(2, 2)), 3).maps
+        with pytest.raises(ValueError, match=r"target values must lie in \[0,1\]"):
+            CollageProblem(target, maps, np.zeros(len(maps) - 1), grid_size=11)

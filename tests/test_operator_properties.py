@@ -140,8 +140,7 @@ def test_solution_beats_feasible_weights(problem, data):
 def test_pass_verdict_is_monotone_in_t(problem, data):
     # the solver decides a bisection midpoint from passes at other t, so a
     # pass that succeeds at t1 must succeed at every t2 > t1, to the ulp
-    cells, _ = _chain_cells(problem._cell, np.clip(problem._w, 0.0, 1.0),
-                            problem._c, problem.k)
+    cells, _ = _chain_cells(problem._cell, problem._w, problem._c, problem.k)
 
     def feasible(t):
         return _chain_pass(cells, problem.weight_sum, t)[0] >= 0.0
