@@ -261,11 +261,21 @@ def read_sample_file(path) -> np.ndarray:
 def write_function_csv(f: DistributionFunction, path, mesh=None) -> None:
     """Dump a distribution function as CSV with header ``x,value``.
 
-    When ``mesh`` is omitted a 513-point uniform grid united with the
-    function's breakpoints is used.
+    The rows are at the sorted distinct points of ``mesh`` and at 0 and 1, so
+    that :func:`read_function_csv` reads the file back; a mesh point that is
+    not finite or lies outside [0,1] raises ValueError.  When ``mesh`` is
+    omitted a 513-point uniform grid united with the function's breakpoints
+    is used.
     """
-    mesh = (_merged_points(513, f.breakpoints()) if mesh is None
-            else np.unique(np.asarray(mesh, float)))
+    if mesh is None:
+        mesh = _merged_points(513, f.breakpoints())
+    else:
+        mesh = np.asarray(mesh, float)
+        outside = mesh[(mesh < 0.0) | (mesh > 1.0)]
+        problem = _nonfinite_violation("mesh points", mesh)
+        if problem or outside.size:
+            raise ValueError(problem or f"mesh points must lie in [0,1], found {outside[0]}")
+        mesh = _merged_points(2, mesh)
     vals = f.eval_array(mesh)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,value\n")

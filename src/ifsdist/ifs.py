@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, log, log2
+from math import ceil, log
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +51,6 @@ _TOL = 1e-12
 # Most breakpoints an iterate keeps after each pullback step, and the number
 # of intervals of the default mesh of a contractive system.
 _CAP = 4096
-# Mean points per map from which ``_MapTable.images`` writes each map's run
-# into its slice instead of gathering all images at once.  On a 2-core
-# x86-64 machine with numpy 2.4 a run costs about 2-5 us per map plus 1 ns
-# per point and the gather 6-13 ns per point; the two meet between 200 and
-# 400 points per map.
-_LONG_RUN = 400
 # Most steps ``fixed_point`` takes; about 20 s of mesh walks at 0.2 ms each.
 _MAX_DEPTH = 10**5
 
@@ -162,26 +156,14 @@ class _MapTable:
         xs = np.sort(np.asarray(xs, float))
         lo, hi = np.searchsorted(xs, self.a), np.searchsorted(xs, self.b)
         counts = np.maximum(hi - lo, 0)
-        stops = np.cumsum(counts)
-        total = int(stops[-1]) if self.k else 0
-        if total < _LONG_RUN * self.k:
-            # map i takes xs[lo_i : lo_i + counts_i]; the index array is freed
-            # before the products are formed, so at most two result-sized arrays live
-            at = np.repeat(lo - stops + counts, counts)
-            at += np.arange(at.size)
-            out = xs[at]
-            del at
-            out *= np.repeat(self.slope, counts)
-            out += np.repeat(self.intercept, counts)
-            return out
-        # long runs: each map writes its run straight into its slice
-        out = np.empty(total)
-        held = counts > 0
-        for start, stop, lo_i, slope, intercept in zip(*(
-                v[held].tolist() for v in (stops - counts, stops, lo, self.slope, self.intercept))):
-            run = out[start:stop]
-            np.multiply(xs[lo_i:lo_i + stop - start], slope, out=run)
-            run += intercept
+        # map i takes xs[lo_i : lo_i + counts_i]; the index array is freed
+        # before the products are formed, so at most two result-sized arrays live
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        at += np.arange(at.size)
+        out = xs[at]
+        del at
+        out *= np.repeat(self.slope, counts)
+        out += np.repeat(self.intercept, counts)
         return out
 
     def violations(self, delta) -> list[str]:
@@ -429,10 +411,10 @@ class IteratedDF(DistributionFunction):
         """The start's breakpoints and the cell boundaries, carried through
         ``depth`` map steps.
 
-        Past _CAP (4096) points after a step, an evenly spaced subset plus
-        the cell boundaries is kept, so the set is then incomplete and a sup
-        taken over it (``sup_distance``, ``simulate --exact-sup``) is a lower
-        bound.
+        Past _CAP (4096) points after a step, a subset evenly spaced by rank
+        plus the cell boundaries is kept, and only the kept ranks are
+        evaluated; the set is then incomplete and a sup taken over it
+        (``sup_distance``, ``simulate --exact-sup``) is a lower bound.
         """
         return _image_breakpoints(self.system._table, self.u0, self.depth)
 
@@ -441,28 +423,95 @@ class IteratedDF(DistributionFunction):
 
 
 def _image_breakpoints(table: _MapTable, u0: DistributionFunction, depth: int) -> np.ndarray:
+    """u0's breakpoints through ``depth`` map steps.  A step unites the images
+    with the cell boundaries, and past _CAP points keeps the ranks
+    ``np.linspace(0, N - 1, _CAP).astype(int)`` of the N united points plus
+    the boundaries.  A capped step with more than 2 _CAP images evaluates only
+    the ranks it keeps (``_kept_ranks``), any other unites all images; both
+    keep the same points.  A sup over a capped set is a lower bound."""
     boundary = np.unique(np.concatenate([table.starts, table.ends]))
     bps = np.asarray(u0.breakpoints(), float)
     for _ in range(depth):
-        bps = _with_boundary(table.images(bps), boundary)
-        if bps.size > _CAP:
-            keep = np.linspace(0, bps.size - 1, _CAP).astype(int)
-            bps = np.unique(np.concatenate([bps[keep], boundary]))
+        kept = _kept_ranks(table, bps, boundary)
+        if kept is None:
+            bps = np.unique(np.concatenate([boundary, table.images(bps)]))
+            if bps.size <= _CAP:
+                continue
+            kept = bps[np.linspace(0, bps.size - 1, _CAP).astype(int)]
+        bps = np.unique(np.concatenate([kept, boundary]))
     return bps[(bps > 0.0) & (bps < 1.0)]
 
 
-def _with_boundary(points: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """np.unique(np.concatenate([boundary, points])) for a sorted, distinct
-    ``boundary``; in linear time when ``points`` rise strictly and outnumber
-    ``boundary`` by more than the log2(n) steps of each binary search."""
-    n = points.size
-    # images rise strictly unless rounding repeats a value within a map's run
-    # or two targets overlap (validation allows 1e-12)
-    if n < boundary.size * log2(n + 2) or not np.all(points[1:] > points[:-1]):
-        return np.unique(np.concatenate([boundary, points]))
-    at = np.searchsorted(points, boundary)
-    new = points[np.minimum(at, n - 1)] != boundary
-    return np.insert(points, at[new], boundary[new])
+def _kept_ranks(table: _MapTable, xs: np.ndarray, boundary: np.ndarray):
+    """The points at ranks ``np.linspace(0, N - 1, _CAP).astype(int)`` of the
+    N sorted distinct points of ``boundary`` (sorted, distinct) and
+    ``table.images(xs)``, bit for bit, evaluated at those ranks only; None
+    when there are at most 2 _CAP images, or when a run starts below the
+    previous run's end (overlapping targets), so that the images are not sorted.
+
+    Image j is ``x * slope + intercept`` of its run's x, the two ufuncs of
+    ``images``.  Equal neighbours are found by evaluating both images at every
+    x-gap where rounding could make them equal.  A boundary value's place
+    among the images comes from a bisection of the run whose first image lies
+    below it, in a fixed ceil(log2(longest run + 1)) steps.
+    """
+    xs = np.sort(xs)
+    lo = np.searchsorted(xs, table.a)
+    counts = np.searchsorted(xs, table.b) - lo
+    held = counts > 0
+    lo, counts = lo[held], counts[held]
+    slope, intercept = table.slope[held], table.intercept[held]
+    stops = np.cumsum(counts)
+    total = int(stops[-1]) if stops.size else 0
+    if total <= 2 * _CAP:
+        return None
+    last = lo + counts - 1
+    prod = np.stack([xs[lo], xs[last]]) * slope
+    ends = prod + intercept
+    if np.any(ends[0, 1:] < ends[1, :-1]):
+        return None
+    starts = stops - counts
+
+    def image(j):
+        i = np.searchsorted(stops, j, side="right")
+        return xs[lo[i] + j - starts[i]] * slope[i] + intercept[i]
+
+    # an image is off by at most half an ulp of its product and of itself, so
+    # a run's images across an x-gap g can be equal only if g * slope <= err
+    err = np.spacing(np.abs(prod).max(axis=0)) + np.spacing(np.abs(ends).max(axis=0))
+    small = np.flatnonzero(np.diff(xs) <= 2.0 * np.max(err / slope))
+    first = np.searchsorted(small, lo)
+    per_run = np.searchsorted(small, last) - first  # the small gaps of run i's own slice
+    run = np.repeat(np.arange(lo.size), per_run)
+    gap = small[np.repeat(first - np.cumsum(per_run) + per_run, per_run) + np.arange(run.size)]
+    after = starts[run] + gap - lo[run] + 1
+    # the images equal to their predecessor, within runs and where runs join
+    repeats = np.sort(np.concatenate([after[image(after - 1) == image(after)],
+                                      starts[1:][ends[0, 1:] == ends[1, :-1]]]))
+
+    # pos = the number of images below each boundary value
+    run = np.maximum(np.searchsorted(ends[0], boundary) - 1, 0)
+    below = np.zeros_like(run)
+    above = np.where(ends[0, run] < boundary, counts[run], 0)
+    for _ in range(int(counts.max()).bit_length()):
+        mid = (below + above) // 2
+        active = below < above
+        up = active & (image(starts[run] + np.minimum(mid, counts[run] - 1)) < boundary)
+        below = np.where(up, mid + 1, below)
+        above = np.where(active & ~up, mid, above)
+    pos = starts[run] + below
+    new = (pos == total) | (image(np.minimum(pos, total - 1)) != boundary)
+    # ranks in the union of the distinct images and the new boundary values
+    inserted = pos[new] - np.searchsorted(repeats, pos[new]) + np.arange(np.count_nonzero(new))
+    keep = np.linspace(0, total - repeats.size + inserted.size - 1, _CAP).astype(int)
+    before = np.searchsorted(inserted, keep)
+    is_boundary = np.append(inserted, -1)[before] == keep
+    out = np.empty(_CAP)
+    out[is_boundary] = boundary[new][before[is_boundary]]
+    distinct = keep[~is_boundary] - before[~is_boundary]
+    out[~is_boundary] = image(distinct + np.searchsorted(repeats - np.arange(repeats.size),
+                                                         distinct, side="right"))
+    return out
 
 
 def apply(system: IfsSystem, f: DistributionFunction) -> IteratedDF:

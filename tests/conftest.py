@@ -10,6 +10,7 @@ from math import lgamma
 import numpy as np
 
 from ifsdist import AffineMap, GridDF, IfsSystem, collage_distance
+from ifsdist.ifs import _MapTable
 
 
 def random_cuts(rng, k):
@@ -83,6 +84,38 @@ def random_linear_df(rng, max_kinks=8):
     grid = np.concatenate([[0.0], bps, [1.0]])
     values = np.concatenate([[0.0], vals, [1.0]])
     return GridDF(grid, values, mode="linear")
+
+
+def reference_image_breakpoints(table, u0, depth):
+    """The breakpoint walk with np.unique over every image after every step,
+    the reference of ``ifs._image_breakpoints``."""
+    boundary = np.unique(np.concatenate([table.starts, table.ends]))
+    bps = np.asarray(u0.breakpoints(), float)
+    for _ in range(depth):
+        bps = np.unique(np.concatenate([boundary, table.images(bps)]))
+        if bps.size > 4096:
+            keep = np.linspace(0, bps.size - 1, 4096).astype(int)
+            bps = np.unique(np.concatenate([bps[keep], boundary]))
+    return bps[(bps > 0.0) & (bps < 1.0)]
+
+
+def map_table(cuts, a, b, overlap=0.0):
+    """Maps from the sources [a_i, b_i) onto the cells of ``cuts``; each target
+    but the last ends ``overlap_i`` past the next one's start."""
+    c, d = cuts[:-1], cuts[1:].copy()
+    d[:-1] += overlap
+    slope = (d - c) / (b - a)
+    return _MapTable(a, b, slope, c - slope * a)
+
+
+def random_table(rng, k, overlap=0.0):
+    """Valid maps onto random cells from random sources; each target but the
+    last overhangs the next one's start by up to ``overlap``."""
+    cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 1)), [1.0]])
+    a = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 0.3, k))
+    b = np.where(rng.random(k) < 0.5, 1.0, rng.uniform(0.7, 1.0, k))
+    a[0], b[-1] = 0.0, 1.0
+    return map_table(cuts, a, b, rng.uniform(0.0, overlap, k - 1))
 
 
 def convexity_witness(problem, p1, p2, lam):

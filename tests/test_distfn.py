@@ -272,6 +272,26 @@ class TestFileIO:
         xs = np.linspace(0.0, 1.0, 301)
         assert np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))) < 1e-14
 
+    @pytest.mark.parametrize("mesh, message", [
+        ([0.0, np.nan, 1.5, 1.0], "mesh points must be finite, found nan"),
+        ([0.0, 0.5, np.inf], "mesh points must be finite, found inf"),
+        ([0.0, 1.5, 1.0], r"mesh points must lie in \[0,1\], found 1.5"),
+        ([-0.2, 0.5], r"mesh points must lie in \[0,1\], found -0.2"),
+    ], ids=["nan", "inf", "above", "below"])
+    def test_function_csv_mesh_outside_the_unit_interval(self, tmp_path, mesh, message):
+        path = tmp_path / "fn.csv"
+        with pytest.raises(ValueError, match=message):
+            write_function_csv(UniformDF(), path, mesh=mesh)
+        assert not path.exists()
+
+    def test_function_csv_mesh_gets_both_ends(self, tmp_path):
+        # a mesh inside (0,1) is written with the rows at 0 and 1 that a
+        # GridDF needs, and reads back
+        path = tmp_path / "fn.csv"
+        write_function_csv(UniformDF(), path, mesh=[0.7, 0.2, 0.7])
+        g = read_function_csv(path)
+        assert g.grid.tolist() == g.values.tolist() == [0.0, 0.2, 0.7, 1.0]
+
     def test_function_csv_non_finite_value(self, tmp_path):
         path = tmp_path / "fn.csv"
         path.write_text("x,value\n0,0\n0.5,nan\n1,1\n")

@@ -27,13 +27,15 @@ from ifsdist import (
 )
 
 from ifsdist import ifs
-from ifsdist.ifs import _LONG_RUN, _MapTable, _image_breakpoints
+from ifsdist.ifs import _CAP, _MapTable, _image_breakpoints
 
 from conftest import (
     random_contractive_system,
     random_identity_system,
     random_linear_df,
     random_step_df,
+    random_table,
+    reference_image_breakpoints,
 )
 
 
@@ -71,37 +73,10 @@ class TestAffineMap:
             AffineMap.from_intervals((0.0, 1.0), (0.3, 0.3))
 
 
-def _reference_image_breakpoints(table, u0, depth):
-    """The breakpoint walk with np.unique after every step, as it was before
-    the merge used the sorted runs of ``images``."""
-    boundary = np.unique(np.concatenate([table.starts, table.ends]))
-    bps = np.asarray(u0.breakpoints(), float)
-    for _ in range(depth):
-        bps = np.unique(np.concatenate([boundary, table.images(bps)]))
-        if bps.size > 4096:
-            keep = np.linspace(0, bps.size - 1, 4096).astype(int)
-            bps = np.unique(np.concatenate([bps[keep], boundary]))
-    return bps[(bps > 0.0) & (bps < 1.0)]
-
-
-def _random_table(rng, k, overlap=0.0):
-    """Valid maps onto random cells from random sources; each target but the
-    last overhangs the next one's start by up to ``overlap``."""
-    cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 1)), [1.0]])
-    a = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 0.3, k))
-    b = np.where(rng.random(k) < 0.5, 1.0, rng.uniform(0.7, 1.0, k))
-    a[0], b[-1] = 0.0, 1.0
-    c, d = cuts[:-1], cuts[1:].copy()
-    d[:-1] += rng.uniform(0.0, overlap, k - 1)
-    slope = (d - c) / (b - a)
-    return _MapTable(a, b, slope, c - slope * a)
-
-
 class TestMapTable:
     def test_images_match_the_per_map_loop(self):
         # the per-map loop that the array helper replaced is the reference,
-        # concatenated in map order; a few points per map take the flat
-        # gather, hundreds per map the per-map runs
+        # concatenated in map order, at a few and at hundreds of points per map
         rng = np.random.default_rng(83)
         for trial in range(120):
             long_runs = trial % 2 == 1
@@ -118,7 +93,6 @@ class TestMapTable:
             ordered = np.sort(xs)
             want = np.concatenate([slope[i] * ordered[(ordered >= a[i]) & (ordered < b[i])]
                                    + intercept[i] for i in range(k)])
-            assert (want.size >= _LONG_RUN * k) == long_runs
             assert np.array_equal(_MapTable(a, b, slope, intercept).images(xs), want)
 
     def test_cells_match_the_affine_map_constructors(self):
@@ -132,7 +106,8 @@ class TestMapTable:
 
 
 class TestImageBreakpoints:
-    """The linear-time merge against the np.unique walk, bit for bit."""
+    """The walk, whose capped steps evaluate only the ranks they keep, against
+    the np.unique walk over every image, bit for bit."""
 
     @staticmethod
     def starts(rng):
@@ -148,7 +123,7 @@ class TestImageBreakpoints:
             table = quantile_estimator(sample, k)._table
             for depth in (1, 2, 4):
                 assert np.array_equal(_image_breakpoints(table, UniformDF(), depth),
-                                      _reference_image_breakpoints(table, UniformDF(), depth))
+                                      reference_image_breakpoints(table, UniformDF(), depth))
 
     def test_edf_partitions(self):
         rng = np.random.default_rng(17)
@@ -157,17 +132,17 @@ class TestImageBreakpoints:
             for u0 in self.starts(rng):
                 for depth in (1, 3):
                     assert np.array_equal(_image_breakpoints(table, u0, depth),
-                                          _reference_image_breakpoints(table, u0, depth))
+                                          reference_image_breakpoints(table, u0, depth))
 
     @pytest.mark.parametrize("overlap", [0.0, 9e-13])
     def test_mixed_sources(self, overlap):
         # with targets overhanging by less than validation's 1e-12 (or by
         # rounding alone) the images are out of order at some seams, and the
-        # merge must sort them
+        # walk must sort them
         rng = np.random.default_rng(29)
         unordered = 0
         for _ in range(40):
-            table = _random_table(rng, int(rng.integers(2, 40)), overlap)
+            table = random_table(rng, int(rng.integers(2, 40)), overlap)
             p = rng.random(table.k)
             assert IfsSystem(table, p / p.sum(), np.zeros(table.k - 1)).violations() == []
             ends = table.images(np.concatenate([table.a, np.nextafter(table.b, 0.0)]))
@@ -175,8 +150,49 @@ class TestImageBreakpoints:
             for u0 in self.starts(rng):
                 for depth in (1, 2, 3):
                     assert np.array_equal(_image_breakpoints(table, u0, depth),
-                                          _reference_image_breakpoints(table, u0, depth))
+                                          reference_image_breakpoints(table, u0, depth))
         assert unordered > 0 or overlap == 0.0
+
+    def test_many_maps(self):
+        # hundreds of maps from mixed sources: runs that share a source share
+        # their x-gaps, but ties are looked for in each run's own slice only
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            table = random_table(rng, int(rng.integers(40, 401)))
+            for u0 in (UniformDF(), random_step_df(rng, max_jumps=30)):
+                assert np.array_equal(_image_breakpoints(table, u0, 3),
+                                      reference_image_breakpoints(table, u0, 3))
+
+    def test_a_map_per_sample_gap(self):
+        # 2999 maps from one source, so 12 million images per capped step
+        rng = np.random.default_rng(3000)
+        table = quantile_estimator(np.sort(rng.beta(2.0, 5.0, 3000)), 2999)._table
+        assert np.array_equal(_image_breakpoints(table, UniformDF(), 5),
+                              reference_image_breakpoints(table, UniformDF(), 5))
+
+    def test_capped_steps_evaluate_only_the_kept_ranks(self, monkeypatch):
+        # the simulate --exact-sup estimators: five Table-1 Betas, k = ceil(n/2),
+        # depth 4; a capped step that formed all k * 4096 images would fail
+        # here.  beta(3,5) at n = 300 has two cell ends an ulp apart, so its
+        # runs repeat 149 images in each capped step
+        sizes = []
+        images = _MapTable.images
+
+        def counted(table, xs):
+            out = images(table, xs)
+            sizes.append(out.size)
+            return out
+
+        rng = np.random.default_rng(4)
+        systems = [quantile_estimator(np.sort(rng.beta(a, b, n)), (n + 1) // 2)
+                   for a, b in ((2, 2), (3, 3), (5, 3), (3, 5), (1, 1))
+                   for n in (200, 300, 500, 1000)]
+        monkeypatch.setattr(_MapTable, "images", counted)
+        found = [iterate_exact(system, UniformDF(), 4).breakpoints() for system in systems]
+        monkeypatch.undo()
+        assert max(sizes) <= 2 * _CAP
+        for system, bps in zip(systems, found):
+            assert np.array_equal(bps, reference_image_breakpoints(system._table, UniformDF(), 4))
 
 
 class TestValidate:

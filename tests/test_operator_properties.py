@@ -21,9 +21,10 @@ from ifsdist import (
     sup_distance,
 )
 
+from ifsdist.ifs import _image_breakpoints
 from ifsdist.inverse import _chain_cells, _chain_pass
 
-from conftest import convexity_witness
+from conftest import convexity_witness, map_table, reference_image_breakpoints
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -108,6 +109,37 @@ def test_fixed_point_depth_is_least_within_tol(system, k, scale):
     result = fixed_point(system, tol=tol)
     assert result.error_bound == c**result.iterations <= tol
     assert result.iterations == 1 or c ** (result.iterations - 1) > tol
+
+
+@st.composite
+def map_tables(draw):
+    """10-60 maps onto random cells, each from [0,1) or from a random source
+    inside it; each target but the last may overhang the next one's start by
+    less than validation's 1e-12."""
+    k = draw(st.integers(10, 60))
+    widths = draw(_floats(0.01, 1.0, k))
+    cuts = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    cuts[-1] = 1.0
+    a = np.where(draw(st.lists(st.booleans(), min_size=k, max_size=k)), 0.0, draw(_floats(0.0, 0.3, k)))
+    b = np.where(draw(st.lists(st.booleans(), min_size=k, max_size=k)), 1.0, draw(_floats(0.7, 1.0, k)))
+    a[0], b[-1] = 0.0, 1.0
+    overlap = draw(st.one_of(st.just(np.zeros(k - 1)), _floats(0.0, 9e-13, k - 1)))
+    table = map_table(cuts, a, b, overlap)
+    assert table.violations(np.zeros(k - 1)) == []
+    return table
+
+
+@SETTINGS
+@hypothesis.given(table=map_tables(), depth=st.integers(2, 3),
+                  jumps=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                 min_size=20, max_size=300, unique=True))
+def test_capped_breakpoint_walk_matches_the_reference(table, depth, jumps):
+    # past 2 * 4096 images a step evaluates only the ranks it keeps, unless
+    # the targets overhang; both must keep the reference's points
+    grid = np.concatenate([[0.0], np.sort(jumps), [1.0]])
+    u0 = GridDF(grid, np.linspace(0.0, 1.0, grid.size), mode="step")
+    assert np.array_equal(_image_breakpoints(table, u0, depth),
+                          reference_image_breakpoints(table, u0, depth))
 
 
 @st.composite
