@@ -4,9 +4,9 @@ Subcommands: approximate (quantile system for a known CDF), edf-ifs (exact
 e.d.f. system), invert (collage inverse problem), estimate (empirical
 quantile estimator), simulate (seeded estimator-vs-e.d.f. sweep).
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.  ``--config``
-reads key=value lines as flag defaults; the environment variable IFS_SEED
-is the seed fallback.
+Exit codes: 0 success, 1 validation/usage error (or out of memory), 2 I/O
+error.  ``--config PATH`` or ``--config=PATH`` reads key=value lines as
+flag defaults; the environment variable IFS_SEED is the seed fallback.
 """
 
 from __future__ import annotations
@@ -45,68 +45,76 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
+def _config_parser() -> _Parser:
+    """--config alone: a parent of every subcommand, and the parser that finds
+    the file before the full parse."""
+    parser = _Parser(prog="ifsdist", add_help=False)
+    parser.add_argument("--config", default=None, help="file of key=value flag defaults")
+    return parser
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifsdist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ifsdist {__version__}")
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approximate", help="quantile IFS for a known CDF, dumped as CSV")
-    p.add_argument("--dist", required=True, help="target CDF, e.g. beta:2,2 or uniform")
+    # flags shared by several subcommands, each declared once in a parent parser
+    out = _Parser(add_help=False, parents=[_config_parser()])
+    out.add_argument("--out", required=True)
+    dist, sample, iters = (_Parser(add_help=False) for _ in range(3))
+    dist.add_argument("--dist", required=True, help="target CDF, e.g. beta:2,2 or uniform")
+    sample.add_argument("--sample", required=True, help="file with one value per line")
+    iters.add_argument("--iters", type=int, default=TrialConfig.iters)
+
+    def command(name, text, *parents):
+        return sub.add_parser(name, help=text, parents=[*parents, out])
+
+    p = command("approximate", "quantile IFS for a known CDF, dumped as CSV", dist, iters)
     p.add_argument("--points", type=int, required=True, help="number of interior quantiles")
-    p.add_argument("--iters", type=int, default=4)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("edf-ifs", help="exact e.d.f. IFS of a sample, dumped as JSON")
-    p.add_argument("--sample", required=True, help="file with one value per line")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    command("edf-ifs", "exact e.d.f. IFS of a sample, dumped as JSON", sample)
 
-    p = sub.add_parser("invert", help="solve the collage inverse problem")
+    p = command("invert", "solve the collage inverse problem")
     p.add_argument("--target", required=True,
                    help="dist spec, edf:<samplefile>, or an x,value CSV path")
     p.add_argument("--target-mode", default="linear", choices=["linear", "step"],
                    help="interpolation mode when the target is a CSV dump")
     p.add_argument("--partition", required=True,
                    help="auto:N, sample:<file>, or a file of interior breakpoints")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("estimate", help="empirical quantile estimator, dumped as CSV")
-    p.add_argument("--sample", required=True)
+    p = command("estimate", "empirical quantile estimator, dumped as CSV", sample, iters)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--iters", type=int, default=4)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("simulate", help="estimator vs e.d.f. comparison sweep")
-    p.add_argument("--dist", required=True)
+    p = command("simulate", "estimator vs e.d.f. comparison sweep", dist, iters)
     p.add_argument("--n", required=True, help="comma-separated sample sizes")
-    p.add_argument("--k", default="auto", help="quantile count or 'auto' (= ceil(n/2))")
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--k", default=TrialConfig.k, help="quantile count or 'auto' (= ceil(n/2))")
+    p.add_argument("--trials", type=int, default=TrialConfig.trials)
     p.add_argument("--seed", default=None)
-    p.add_argument("--eval-points", type=int, default=20)
-    p.add_argument("--iters", type=int, default=4)
+    p.add_argument("--eval-points", type=int, default=TrialConfig.eval_points)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--exact-sup", action="store_true",
                    help="augment the evaluation points with the iterate's breakpoints; "
                         "past 4096 of them a subset is kept, and the sup is a lower bound")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
     return parser
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert key=value pairs from --config as flags before the explicit ones."""
-    if "--config" not in argv:
+    """Insert key=value pairs from --config as flags right after the
+    subcommand, so that explicit flags win.  The file is the one argparse
+    stores, in any form it accepts: --config PATH, --config=PATH, a prefix
+    such as --conf, and the last of several."""
+    if not any(token.startswith("--c") for token in argv):
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    try:
+        path = _config_parser().parse_known_args(argv)[0].config
+    except _UsageError:  # a --config without a path: the full parse reports it
         return argv
-    path = argv[at + 1]
+    if path is None:
+        return argv
     injected: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -123,7 +131,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                     injected.append(flag)
             else:
                 injected.extend([flag, value])
-    # insert right after the subcommand token so explicit flags win
     for i, token in enumerate(argv):
         if token in _COMMANDS:
             return argv[: i + 1] + injected + argv[i + 1:]
@@ -197,12 +204,11 @@ def _cmd_simulate(args) -> int:
         seed = int(os.environ.get("IFS_SEED", "0"))
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
-    k = args.k if args.k == "auto" else int(args.k)
     configs = [
         TrialConfig(
             distribution=dist,
             n=n,
-            k=k,
+            k=args.k,  # "auto" or a count that resolved_k reads with int()
             iters=args.iters,
             eval_points=args.eval_points,
             trials=args.trials,
@@ -238,6 +244,9 @@ def cli_main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

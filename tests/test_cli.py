@@ -20,6 +20,7 @@ from ifsdist import (
     read_system_json,
     validate,
 )
+from ifsdist import cli
 from ifsdist.cli import cli_main
 from ifsdist.constructions import empirical_quantile
 
@@ -72,6 +73,59 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", str(cfg), "--n", "10",
                          "--seed", "6", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("form", [["--config=CFG"], ["--conf", "CFG"],
+                                      ["--trials", "2", "--seed", "5"]],
+                             ids=["equals", "prefix", "flags"])
+    def test_config_file_in_every_form(self, form, tmp_path):
+        # --config=FILE was once read as no config at all, and ran 30 trials
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=2\nseed=5\n")
+        args = ["simulate", "--dist", "beta:2,2", "--n", "10"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli_main(args + ["--out", str(out1), "--config", str(cfg)]) == 0
+        assert cli_main(args + ["--out", str(out2)]
+                        + [token.replace("CFG", str(cfg)) for token in form]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert out1.read_text().splitlines()[1].startswith('"beta:2,2",10,5,2,')  # 2 trials
+
+    def test_last_config_file_wins(self, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("trials=3\n")
+        last.write_text("trials=2\n")
+        args = ["simulate", "--dist", "beta:2,2", "--n", "10", "--seed", "5"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli_main(args + ["--config", str(first), f"--config={last}",
+                                "--out", str(out1)]) == 0
+        assert cli_main(args + ["--trials", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("value,flags", [("true", ["--exact-sup"]), ("false", [])])
+    def test_config_switches(self, value, flags, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"exact_sup={value}\n")
+        args = ["simulate", "--dist", "beta:2,5", "--n", "10", "--trials", "2", "--seed", "1"]
+        outs = [tmp_path / name for name in ("cfg.csv", "flags.csv", "other.csv")]
+        assert cli_main(args + ["--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert cli_main(args + flags + ["--out", str(outs[1])]) == 0
+        other = [] if flags else ["--exact-sup"]
+        assert cli_main(args + other + ["--out", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+    def test_malformed_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\ntrials 2\n")
+        out = tmp_path / "a.csv"
+        assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10",
+                         f"--config={cfg}", "--out", str(out)]) == 1
+        assert f"error: {cfg}:3: expected key=value, got 'trials 2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_without_a_path(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10",
+                         "--out", str(out), "--config"]) == 1
+        assert "argument --config: expected one argument" in capsys.readouterr().err
 
     def test_variates_rounded_to_one_are_named(self, tmp_path, capsys):
         # Beta(0.1,0.1) at seed 0 draws a quantile above 1 - 2^-54 in trial 0,
@@ -329,6 +383,34 @@ class TestExitCodes:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--dist", "beta:2,2", "--n", ",", "--trials", "1"],
+         "--n needs at least one sample size"),
+        (["invert", "--target", "beta:2,2", "--partition", "auto:0"],
+         "auto partition needs at least one cell"),
+    ], ids=["simulate-no-size", "invert-no-cell"])
+    def test_empty_size_list_and_partition(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory(self, exc, message, tmp_path, monkeypatch, capsys):
+        def run_table(configs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_table", run_table)
+        out = tmp_path / "x.csv"
+        assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+        assert not out.exists()
+
     def test_bad_distribution_spec(self, tmp_path):
         out = tmp_path / "x.csv"
         code = cli_main(["simulate", "--dist", "cauchy:0,1", "--n", "10",
@@ -353,6 +435,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--help"])
         assert exc.value.code == 0
+
+
+def test_package_exports_the_modules_public_names():
+    modules = (ifsdist.constructions, ifsdist.distfn, ifsdist.ifs, ifsdist.inverse,
+               ifsdist.randstats, ifsdist.sim)
+    names = {"__version__"}.union(*(module.__all__ for module in modules))
+    assert len(ifsdist.__all__) == len(names)
+    assert set(ifsdist.__all__) == names
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ifsdist, name) is getattr(module, name)
 
 
 def test_subcommands_import_no_test_oracle(sample_file, tmp_path):

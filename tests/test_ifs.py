@@ -195,6 +195,32 @@ class TestImageBreakpoints:
             assert np.array_equal(bps, reference_image_breakpoints(system._table, UniformDF(), 4))
 
 
+    def test_overlapping_runs_unite_all_images(self, monkeypatch):
+        # targets that overhang the next one's start by up to 9e-13 put a run's
+        # last image above the next run's first, so a step of more than 2 _CAP
+        # images cannot be ranked in runs and unites them all
+        kept_ranks = ifs._kept_ranks
+        fell_back = []
+
+        def spied(table, xs, boundary):
+            out = kept_ranks(table, xs, boundary)
+            fell_back.append(out is None and table.images(xs).size > 2 * _CAP)
+            return out
+
+        monkeypatch.setattr(ifs, "_kept_ranks", spied)
+        rng = np.random.default_rng(43)
+        # breakpoints 1e-15 from either end reach the ends of every full-range map
+        grid = np.concatenate([[0.0, 1e-15], np.sort(rng.uniform(0.0, 1.0, 200)),
+                               [1.0 - 1e-15, 1.0]])
+        u0 = GridDF(grid, np.linspace(0.0, 1.0, grid.size), mode="step")
+        for _ in range(12):
+            table = random_table(rng, int(rng.integers(60, 120)), 9e-13)
+            for depth in (1, 3):
+                fell_back.clear()
+                assert np.array_equal(_image_breakpoints(table, u0, depth),
+                                      reference_image_breakpoints(table, u0, depth))
+                assert fell_back[0]
+
 class TestValidate:
     def test_plain_partition_ok(self):
         assert validate(two_cell_identity()) == []
@@ -222,6 +248,24 @@ class TestValidate:
         ]
         system = IfsSystem(maps, (0.5, 0.5), (0.0,))
         assert any("gap" in v for v in validate(system))
+
+    def test_no_maps(self):
+        found = validate(IfsSystem([], [], []))
+        assert "system has no maps" in found
+        with pytest.raises(ValueError, match="system has no maps"):
+            IfsSystem([], [], []).require_valid()
+
+    def test_targets_out_of_order(self):
+        maps = [
+            AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
+            AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
+        ]
+        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
+        assert validate(system) == ["maps must be ordered by strictly increasing target start"]
+
+    def test_wrong_number_of_weights(self):
+        system = two_cell_identity(p=(0.5, 0.25, 0.25))
+        assert validate(system) == ["expected 2 weights, got 3"]
 
     def test_weight_normalization(self):
         system = two_cell_identity(p=(0.5, 0.6))
@@ -429,6 +473,10 @@ class TestIterate:
     def test_iteration_count_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             iterate(two_cell_identity(), UniformDF(), 0)
+
+    def test_exact_iteration_depth_validation(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            iterate_exact(two_cell_identity(), UniformDF(), 0)
 
 
 class TestContractivity:

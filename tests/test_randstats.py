@@ -245,6 +245,18 @@ class TestAgainstReferences:
                        split + (1.0 - split) * rng.random(size)):
                 assert np.array_equal(_reg_inc_beta(*ab, xs), reference_reg_inc_beta(*ab, xs))
 
+    def test_lane_past_the_term_cap_keeps_its_last_value(self, monkeypatch):
+        # at alpha = beta = 1e6 the fraction near x = 0.5 is still moving
+        # after _CF_MAX_ITER (400) terms
+        xs = np.linspace(0.5 - 1e-4, 0.5 + 1e-4, 9)
+        capped = _reg_inc_beta(1e6, 1e6, xs)
+        assert np.array_equal(capped, reference_reg_inc_beta(1e6, 1e6, xs))
+        assert np.all(np.isfinite(capped)) and np.all((capped >= 0.0) & (capped <= 1.0))
+        monkeypatch.setattr(randstats, "_CF_MAX_ITER", 5000)
+        longer = _reg_inc_beta(1e6, 1e6, xs)
+        assert np.any(capped != longer)
+        assert np.max(np.abs(capped - longer)) <= 1e-9
+
     @pytest.mark.parametrize("ab", ORACLE_SHAPES)
     def test_quantile_bit_identical(self, ab):
         ends = np.array([1e-12, 1.0 - 1e-12])
