@@ -99,6 +99,7 @@ def _build_parser() -> _Parser:
                    help="augment the evaluation points with the iterate's breakpoints; "
                         "past 4096 of them a subset is kept, and the sup is a lower bound")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -106,7 +107,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert key=value pairs from --config as flags right after the
     subcommand, so that explicit flags win.  The file is the one argparse
     stores, in any form it accepts: --config PATH, --config=PATH, a prefix
-    such as --conf, and the last of several."""
+    such as --conf, and the last of several.  A key that is neither a flag of
+    the subcommand nor a prefix of just one is reported with its file and line."""
     if not any(token.startswith("--c") for token in argv):
         return argv
     try:
@@ -115,6 +117,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     if path is None:
         return argv
+    at = next((i + 1 for i, token in enumerate(argv) if token in _COMMANDS), len(argv))
+    command = _build_parser().commands.get(argv[at - 1])  # None: the full parse reports it
+    options = () if command is None else command._option_string_actions
     injected: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -123,18 +128,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            names = [option for option in options if option.startswith(flag)]
+            if options and flag not in names and len(names) != 1:
+                raise ValueError(f"{path}:{line_no}: key {key!r} names no single flag "
+                                 f"of {argv[at - 1]}")
             if value.lower() in ("true", "false"):
                 if value.lower() == "true":
                     injected.append(flag)
             else:
                 injected.extend([flag, value])
-    for i, token in enumerate(argv):
-        if token in _COMMANDS:
-            return argv[: i + 1] + injected + argv[i + 1:]
-    return argv + injected
+    return argv[:at] + injected + argv[at:]
+
+
+def _integer(text: str, source: str) -> int:
+    """int(text), or ValueError naming the flag or variable it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
 def _target_from_spec(spec: str, mode: str):
@@ -148,7 +161,7 @@ def _target_from_spec(spec: str, mode: str):
 
 def _partition_maps(spec: str):
     if spec.startswith("auto:"):
-        cells = int(spec[len("auto:"):])
+        cells = _integer(spec[len("auto:"):], "--partition auto")
         if cells < 1:
             raise ValueError("auto partition needs at least one cell")
         cuts = np.linspace(0.0, 1.0, cells + 1)
@@ -195,13 +208,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     dist = parse_distribution(args.dist)
-    sizes = [int(s) for s in str(args.n).split(",") if s.strip()]
+    sizes = [_integer(s, "--n") for s in str(args.n).split(",") if s.strip()]
     if not sizes:
         raise ValueError("--n needs at least one sample size")
     if args.seed is not None:
-        seed = int(args.seed)
+        seed = _integer(args.seed, "--seed")
     else:
-        seed = int(os.environ.get("IFS_SEED", "0"))
+        seed = _integer(os.environ.get("IFS_SEED", "0"), "IFS_SEED")
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     configs = [

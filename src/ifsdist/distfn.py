@@ -241,6 +241,13 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
     return max(d, float(np.max(np.abs(f.eval_left_array(interior) - g.eval_left_array(interior)))))
 
 
+def _number(text: str, path, line_no: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: not a number: {text.strip()!r}") from None
+
+
 def read_sample_file(path) -> np.ndarray:
     """Read a sample file: one real per line, blank lines ignored."""
     values = []
@@ -249,10 +256,7 @@ def read_sample_file(path) -> np.ndarray:
             text = line.strip()
             if not text:
                 continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: not a number: {text!r}") from None
+            values.append(_number(text, path, line_no))
     if not values:
         raise ValueError(f"{path}: no sample values found")
     return np.asarray(values, float)
@@ -297,6 +301,6 @@ def read_function_csv(path, mode: str = "linear") -> GridDF:
             parts = text.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: malformed row {text!r}")
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
+            xs.append(_number(parts[0], path, line_no))
+            vs.append(_number(parts[1], path, line_no))
     return GridDF(np.asarray(xs), np.asarray(vs), mode=mode)

@@ -121,6 +121,41 @@ class TestSimulate:
         assert f"error: {cfg}:3: expected key=value, got 'trials 2'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key", [
+        (["simulate", "--dist", "beta:2,2", "--n", "10"], "trails"),
+        (["simulate", "--dist", "beta:2,2", "--n", "10"], "points"),
+        (["approximate", "--dist", "beta:2,2", "--points", "4"], "trials"),
+        (["simulate", "--dist", "beta:2,2", "--n", "10"], "e"),
+    ], ids=["misspelt", "other-command", "approximate", "ambiguous"])
+    def test_unknown_config_key_names_the_file(self, command, key, tmp_path, capsys):
+        # the key used to reach argparse as a flag: "unrecognized arguments:
+        # --trails 2" or "ambiguous option: --e" and a usage, with no word of
+        # the file
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"iters=3\n{key}=2\n")
+        out = tmp_path / "a.csv"
+        assert cli_main(command + ["--out", str(out), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: key {key!r} names no single flag of {command[0]}\n"
+        assert not out.exists()
+
+    def test_config_keys_may_abbreviate_a_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trial=2\nseed=5\n")
+        args = ["simulate", "--dist", "beta:2,2", "--n", "10"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli_main(args + ["--config", str(cfg), "--out", str(out1)]) == 0
+        assert cli_main(args + ["--trials", "2", "--seed", "5", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_no_config_no_extra_parse(self, tmp_path, monkeypatch):
+        # the full parse runs the subcommand parsers, never this parent itself
+        monkeypatch.setattr(cli._config_parser(), "parse_known_args",
+                            lambda *args: pytest.fail("config parse"))
+        out = tmp_path / "a.csv"
+        assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1",
+                         "--out", str(out)]) == 0
+
     def test_config_without_a_path(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
         assert cli_main(["simulate", "--dist", "beta:2,2", "--n", "10",
@@ -393,6 +428,34 @@ class TestExitCodes:
         out = tmp_path / "x.out"
         assert cli_main(argv + ["--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["simulate", "--dist", "beta:2,2", "--n", "10,x", "--trials", "1"], None,
+         "--n: not an integer: 'x'"),
+        (["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1", "--seed", "x"], None,
+         "--seed: not an integer: 'x'"),
+        (["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1"], "x",
+         "IFS_SEED: not an integer: 'x'"),
+        (["invert", "--target", "beta:2,2", "--partition", "auto:x"], None,
+         "--partition auto: not an integer: 'x'"),
+    ], ids=["n", "seed", "env-seed", "partition"])
+    def test_bad_integer_names_its_flag(self, argv, env, message, tmp_path, monkeypatch,
+                                        capsys):
+        if env is not None:
+            monkeypatch.setenv("IFS_SEED", env)
+        out = tmp_path / "x.out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_number_in_csv_target_names_its_line(self, tmp_path, capsys):
+        fn = tmp_path / "bad.csv"
+        fn.write_text("x,value\n0,0\nabc,0.5\n1,1\n")
+        out = tmp_path / "report.json"
+        assert cli_main(["invert", "--target", str(fn), "--partition", "auto:2",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {fn}:3: not a number: 'abc'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("exc,message", [

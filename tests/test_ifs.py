@@ -8,6 +8,7 @@ from ifsdist import (
     AffineMap,
     GridDF,
     IfsSystem,
+    IteratedDF,
     UniformDF,
     apply,
     contractivity,
@@ -15,7 +16,6 @@ from ifsdist import (
     edf_from_sample,
     edf_ifs,
     fixed_point,
-    iterate,
     iterate_exact,
     perturbation_bound,
     quantile_estimator,
@@ -27,7 +27,7 @@ from ifsdist import (
 )
 
 from ifsdist import ifs
-from ifsdist.ifs import _CAP, _MapTable, _image_breakpoints
+from ifsdist.ifs import _CAP, _MapTable, _image_breakpoints, _pullback
 
 from conftest import (
     random_contractive_system,
@@ -46,14 +46,16 @@ def two_cell_identity(p=(0.5, 0.5), delta=(0.0,), split=0.5):
 
 class TestAffineMap:
     def test_forward_inverse_round_trip(self):
+        # the table's images pulled back land on their sources, in their cell
         rng = np.random.default_rng(2)
         for _ in range(50):
             lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
             if hi - lo < 1e-3:
                 continue
-            m = AffineMap.from_intervals((0.0, 1.0), (lo, hi))
-            xs = rng.uniform(0.0, 1.0, size=20)
-            back = (np.asarray([m.inverse(m.forward(x)) for x in xs]))
+            table = _MapTable.of([AffineMap.from_intervals((0.0, 1.0), (lo, hi))])
+            xs = np.sort(rng.uniform(0.0, 1.0, size=20))
+            idx, back = _pullback(table, table.images(xs))
+            assert np.all(idx == 0)
             assert np.max(np.abs(back - xs)) < 1e-12
 
     def test_target_endpoints(self):
@@ -64,7 +66,7 @@ class TestAffineMap:
     def test_identity(self):
         m = AffineMap.identity(0.2, 0.9)
         assert m.is_identity()
-        assert m.forward(0.5) == 0.5
+        assert _MapTable.of([m]).images([0.5])[0] == 0.5
 
     def test_degenerate_intervals_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -388,7 +390,7 @@ class TestApply:
             ]
             system = IfsSystem(maps, (0.5, 0.5), (0.0,))
             tf = apply(system, u0)
-            x = maps[0].forward(b)
+            x = maps[0].slope * b + maps[0].intercept
             p, off = 0.5, 0.0
             assert tf.eval(x) == pytest.approx(p * 0.6 + off, abs=1e-13)
             assert tf.eval_left_limit(x) == pytest.approx(p * 0.0 + off, abs=1e-13)
@@ -448,31 +450,27 @@ class TestIterate:
         rng = np.random.default_rng(41)
         system = random_identity_system(rng)
         f = random_linear_df(rng)
-        mesh = default_mesh(system, f)
-        one = iterate(system, f, 1)
+        mesh = np.union1d(default_mesh(system), f.breakpoints())
+        one = iterate_exact(system, f, 1)
         direct = apply(system, f)
         assert np.max(np.abs(one.eval_array(mesh) - direct.eval_array(mesh))) < 1e-12
 
     def test_edf_system_converges_to_steps(self):
         system = edf_ifs([0.3, 0.7])
-        out = iterate(system, UniformDF(), 30)
+        out = iterate_exact(system, UniformDF(), 30)
         mids = np.array([0.15, 0.5, 0.85])
         assert np.max(np.abs(out.eval_array(mids) - np.array([0.0, 0.5, 1.0]))) < 1e-8
 
     def test_one_iteration_of_single_point_system(self):
         # identity maps split at x1 = 0.5 with weights (x1, 1-x1)
         system = two_cell_identity(p=(0.5, 0.5))
-        out = iterate(system, UniformDF(), 1)
+        out = iterate_exact(system, UniformDF(), 1)
         assert out.eval(0.25) == pytest.approx(0.125, abs=1e-15)
         # after one iteration this already beats the one-point e.d.f. as an
         # approximation of the uniform target
-        d_iterate = sup_distance(iterate_exact(system, UniformDF(), 1), UniformDF())
+        d_iterate = sup_distance(out, UniformDF())
         d_edf = sup_distance(edf_from_sample([0.5]), UniformDF())
         assert d_iterate < d_edf
-
-    def test_iteration_count_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            iterate(two_cell_identity(), UniformDF(), 0)
 
     def test_exact_iteration_depth_validation(self):
         with pytest.raises(ValueError, match="depth must be >= 1"):
@@ -556,18 +554,10 @@ class TestFixedPoint:
         for system, tol in itertools.product(identity + general, (1e-7, 1e-11)):
             result = fixed_point(system, tol=tol)
             assert result.error_bound <= tol
-            # general maps walk all 4097 mesh points, so their comparator
-            # runs 2 times deeper, not 10, to keep the test fast
             depth = (10 if system.identity_partition else 2) * result.iterations
             longer = iterate_exact(system, UniformDF(), depth)
             slack = contractivity(system) ** depth
-            mesh = default_mesh(system)
-            err = np.max(np.abs(result.df.eval_array(mesh) - longer.eval_array(mesh)))
-            assert err <= result.error_bound + slack
-            if system.identity_partition:
-                # F* is constant on each cell and the mesh holds every cell
-                # end, so the step sample is within the bound on all of [0,1]
-                assert sup_distance(result.df, longer) <= result.error_bound + slack
+            assert sup_distance(result.df, longer) <= result.error_bound + slack
 
     def test_least_depth_within_tol(self):
         # log(1e-9)/log(0.1) rounds to 9, but 0.1**9 = 1.0000000000000005e-09
@@ -586,7 +576,7 @@ class TestFixedPoint:
         assert np.array_equal(got, [0.0, 0.0, 1.0, 1.0, 1.0])
 
     def test_df_is_the_operator_iterate(self):
-        # the loop returns the sampled iterate T^s u0 that iterate() builds
+        # the returned df is the exact iterate T^s u0, value for value
         rng = np.random.default_rng(67)
         for i in range(24):
             if i % 3 == 2:
@@ -594,17 +584,19 @@ class TestFixedPoint:
             else:
                 system = random_identity_system(rng, negative_delta=bool(i % 3))
             result = fixed_point(system, tol=1e-9)
-            expected = iterate(system, UniformDF(), result.iterations)
-            assert np.array_equal(result.df.grid, expected.grid)
-            assert np.array_equal(result.df.values, expected.values)
+            expected = iterate_exact(system, UniformDF(), result.iterations)
+            assert isinstance(result.df, IteratedDF) and result.df.depth == result.iterations
+            xs = np.union1d(default_mesh(system), expected.breakpoints())
+            assert np.array_equal(result.df.eval_array(xs), expected.eval_array(xs))
+            assert np.array_equal(result.df.eval_left_array(xs), expected.eval_left_array(xs))
 
     HALVES = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
               AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0))]
 
     def test_depth_limit_near_unit_contractivity(self, monkeypatch):
         # c = 0.999999 needs about 2.1e7 steps to reach 1e-9: the limit is
-        # checked before the iterate is built, whose mesh walks would hang
-        monkeypatch.setattr(ifs, "iterate", lambda *args: pytest.fail("iterate was called"))
+        # checked before the iterate is built, whose evaluations would hang
+        monkeypatch.setattr(ifs, "IteratedDF", lambda *args: pytest.fail("the iterate was built"))
         system = IfsSystem(self.HALVES, (0.999999, 0.000001), (0.0,))
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"c = 0.999999 needs s = \d+ > 100000 steps "

@@ -11,12 +11,14 @@ from ifsdist import (
     CollageProblem,
     GridDF,
     IfsSystem,
+    UniformDF,
     apply,
     collage_distance,
     contractivity,
     edf_from_sample,
     edf_ifs,
     fixed_point,
+    iterate_exact,
     solve_inverse,
     sup_distance,
 )
@@ -109,6 +111,17 @@ def test_fixed_point_depth_is_least_within_tol(system, k, scale):
     result = fixed_point(system, tol=tol)
     assert result.error_bound == c**result.iterations <= tol
     assert result.iterations == 1 or c ** (result.iterations - 1) > tol
+
+
+@SETTINGS
+@hypothesis.given(system=systems(), x=st.floats(0.0, 1.0))
+def test_fixed_point_bound_holds_at_every_x(system, x):
+    # |T^s u - F*| <= c^s and |T^{3s} u - F*| <= c^{3s}, for values and left limits
+    result = fixed_point(system, tol=1e-7)
+    longer = iterate_exact(system, UniformDF(), 3 * result.iterations)
+    bound = result.error_bound + contractivity(system) ** (3 * result.iterations)
+    assert abs(result.df.eval(x) - longer.eval(x)) <= bound
+    assert abs(result.df.eval_left_limit(x) - longer.eval_left_limit(x)) <= bound
 
 
 @st.composite
