@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     dist, sample, iters = (_Parser(add_help=False) for _ in range(3))
     dist.add_argument("--dist", required=True, help="target CDF, e.g. beta:2,2 or uniform")
     sample.add_argument("--sample", required=True, help="file with one value per line")
-    iters.add_argument("--iters", type=int, default=TrialConfig.iters)
+    iters.add_argument("--iters", type=_iteration_count, default=TrialConfig.iters)
 
     def command(name, text, *parents):
         return sub.add_parser(name, help=text, parents=[*parents, out])
@@ -150,6 +150,17 @@ def _integer(text: str, source: str) -> int:
         raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
+def _iteration_count(text: str) -> int:
+    """argparse type of --iters, in every subcommand that takes it: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _target_from_spec(spec: str, mode: str):
     if spec.startswith("edf:"):
         return edf_from_sample(read_sample_file(spec[len("edf:"):]))
@@ -215,13 +226,14 @@ def _cmd_simulate(args) -> int:
         seed = _integer(args.seed, "--seed")
     else:
         seed = _integer(os.environ.get("IFS_SEED", "0"), "IFS_SEED")
+    k = args.k if args.k == "auto" else _integer(args.k, "--k")
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     configs = [
         TrialConfig(
             distribution=dist,
             n=n,
-            k=args.k,  # "auto" or a count that resolved_k reads with int()
+            k=k,
             iters=args.iters,
             eval_points=args.eval_points,
             trials=args.trials,
@@ -250,7 +262,9 @@ def cli_main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+        # on every call: basicConfig does nothing once the root logger has a handler
+        logging.basicConfig()
+        logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -267,9 +267,9 @@ def write_function_csv(f: DistributionFunction, path, mesh=None) -> None:
 
     The rows are at the sorted distinct points of ``mesh`` and at 0 and 1, so
     that :func:`read_function_csv` reads the file back; a mesh point that is
-    not finite or lies outside [0,1] raises ValueError.  When ``mesh`` is
-    omitted a 513-point uniform grid united with the function's breakpoints
-    is used.
+    not finite or lies outside [0,1] raises ValueError, and so does a value
+    that is not finite, before the file is opened.  When ``mesh`` is omitted
+    a 513-point uniform grid united with the function's breakpoints is used.
     """
     if mesh is None:
         mesh = _merged_points(513, f.breakpoints())
@@ -281,6 +281,9 @@ def write_function_csv(f: DistributionFunction, path, mesh=None) -> None:
             raise ValueError(problem or f"mesh points must lie in [0,1], found {outside[0]}")
         mesh = _merged_points(2, mesh)
     vals = f.eval_array(mesh)
+    problem = _nonfinite_violation("function values", vals)
+    if problem:
+        raise ValueError(problem)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,value\n")
         for x, v in zip(mesh, vals):

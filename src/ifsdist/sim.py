@@ -39,9 +39,18 @@ log = logging.getLogger(__name__)
 CSV_HEADER = "dist,n,k,trials,iters,mean_a,mean_b,ratio_pct"
 
 
+def _require_integer(name: str, value, what: str = "an integer") -> int:
+    """int(value) for a Python or numpy integer (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
-    """One simulation row: target, sample size, estimator and protocol knobs."""
+    """One simulation row: target, sample size, estimator and protocol knobs,
+    checked once when built.  ``k_count`` is ``k`` resolved ("auto" is ceil(n/2)
+    capped at n-1); ``dataclasses.replace`` resolves it again."""
 
     distribution: BetaParams
     n: int
@@ -51,24 +60,24 @@ class TrialConfig:
     trials: int = 30
     seed: int = 0
     exact_sup: bool = False
+    k_count: int = field(init=False, repr=False, compare=False)
 
-    def resolved_k(self) -> int:
+    def __post_init__(self):
+        for name in ("n", "iters", "eval_points", "trials", "seed"):  # numpy ones made int
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.k == "auto":
             k = max(2, min(ceil(self.n / 2), self.n - 1))
         else:
-            k = int(self.k)
+            k = _require_integer("k", self.k, "'auto' or an integer")
         if not 2 <= k < self.n:
             raise ValueError(f"need 2 <= k < n, got k={k}, n={self.n}")
-        return k
-
-    def check(self) -> None:
-        self.resolved_k()
         if self.iters < 1:
             raise ValueError("iteration count must be >= 1")
         if self.eval_points < 2:
             raise ValueError("eval_points must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "k_count", k)
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,6 @@ class TrialResult:
 
 def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     """One seeded trial: sample, estimator, and both sup-norm distances."""
-    config.check()
     target = BetaDF(config.distribution)
     rng = SeededRng(derive_substream(config.seed, trial_index))
     sample = sample_beta(config.distribution, config.n, rng)
@@ -98,7 +106,7 @@ def run_trial(config: TrialConfig, trial_index: int) -> TrialResult:
             f"{config.distribution.label()}: {at_floor} of {config.n} variates in trial "
             f"{trial_index} equal 2^-{_STEPS + 1}, the least value that the {_STEPS}-step "
             "bisection returns, and the estimators need distinct sample values")
-    system = quantile_estimator(sample, config.resolved_k())
+    system = quantile_estimator(sample, config.k_count)
     estimator = iterate_exact(system, UniformDF(), config.iters)
     edf = edf_from_sample(sample)
     if config.exact_sup:
@@ -148,7 +156,6 @@ class SimulationTable:
 
 
 def _run_config(config: TrialConfig) -> TableRow:
-    config.check()
     results = [run_trial(config, i) for i in range(config.trials)]
     mean_a = float(np.mean([r.d_estimator for r in results]))
     mean_b = float(np.mean([r.d_edf for r in results]))
@@ -162,7 +169,7 @@ def _run_config(config: TrialConfig) -> TableRow:
     row = TableRow(
         dist=config.distribution.label(),
         n=config.n,
-        k=config.resolved_k(),
+        k=config.k_count,
         trials=config.trials,
         iters=config.iters,
         mean_a=mean_a,

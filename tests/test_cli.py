@@ -439,7 +439,9 @@ class TestExitCodes:
          "IFS_SEED: not an integer: 'x'"),
         (["invert", "--target", "beta:2,2", "--partition", "auto:x"], None,
          "--partition auto: not an integer: 'x'"),
-    ], ids=["n", "seed", "env-seed", "partition"])
+        (["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1", "--k", "x"], None,
+         "--k: not an integer: 'x'"),
+    ], ids=["n", "seed", "env-seed", "partition", "k"])
     def test_bad_integer_names_its_flag(self, argv, env, message, tmp_path, monkeypatch,
                                         capsys):
         if env is not None:
@@ -447,6 +449,24 @@ class TestExitCodes:
         out = tmp_path / "x.out"
         assert cli_main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["approximate", "--dist", "beta:2,2", "--points", "4"],
+        ["estimate", "--sample", "SAMPLE", "--k", "3"],
+        ["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1"],
+    ], ids=["approximate", "estimate", "simulate"])
+    @pytest.mark.parametrize("iters,message", [
+        ("0", "argument --iters: must be >= 1, got 0"),
+        ("x", "argument --iters: not an integer: 'x'"),
+    ], ids=["zero", "text"])
+    def test_bad_iteration_count_names_its_flag(self, argv, iters, message, sample_file,
+                                                 tmp_path, capsys):
+        argv = [str(sample_file[0]) if a == "SAMPLE" else a for a in argv]
+        out = tmp_path / "x.out"
+        assert cli_main(argv + ["--iters", iters, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ifsdist {argv[0]}: {message}\nusage: ")
         assert not out.exists()
 
     def test_bad_number_in_csv_target_names_its_line(self, tmp_path, capsys):
@@ -493,6 +513,19 @@ class TestExitCodes:
         assert cli_main(argv + ["--out", str(out)]) == 1
         assert "Beta parameters must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verbose_holds_on_every_call(self, tmp_path, caplog):
+        # basicConfig does nothing once the root logger has a handler, so a
+        # level set only there would be lost after the first call
+        argv = ["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 0
+        assert cli_main(["--verbose", *argv]) == 0
+        assert [r.getMessage().split(": ")[0] for r in caplog.records
+                if r.name == "ifsdist.sim" and r.levelname == "INFO"] == ["beta:2,2 n=10 k=5"]
+        caplog.clear()
+        assert cli_main(argv) == 0
+        assert not [r for r in caplog.records if r.name == "ifsdist.sim"]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

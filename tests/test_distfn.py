@@ -234,6 +234,10 @@ class TestGridDF:
         with pytest.raises(ValueError, match="mode"):
             GridDF([0.0, 1.0], [0.0, 1.0], mode="cubic")
 
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length >= 2"):
+            GridDF([0.0, 0.5, 1.0], [0.0, 1.0])
+
     @pytest.mark.parametrize("grid, values, message", [
         ([0.0, 0.5, 1.0], [0.0, float("nan"), 1.0], "values must be finite, found nan"),
         ([0.0, float("inf"), 1.0], [0.0, 0.5, 1.0], "breakpoints must be finite, found inf"),
@@ -291,6 +295,39 @@ class TestFileIO:
         write_function_csv(UniformDF(), path, mesh=[0.7, 0.2, 0.7])
         g = read_function_csv(path)
         assert g.grid.tolist() == g.values.tolist() == [0.0, 0.2, 0.7, 1.0]
+
+    def test_function_csv_default_mesh(self, tmp_path):
+        # no mesh: the 513-point grid united with the breakpoints, none of
+        # which lies on that grid
+        path = tmp_path / "fn.csv"
+        f = GridDF([0.0, 0.3, 0.61, 1.0], [0.0, 0.2, 0.7, 1.0], mode="step")
+        write_function_csv(f, path)
+        g = read_function_csv(path, mode="step")
+        xs = np.union1d(np.linspace(0.0, 1.0, 513), [0.3, 0.61])
+        assert len(xs) == 515
+        assert np.array_equal(g.grid, xs)
+        assert np.array_equal(g.values, f.eval_array(xs))
+
+    def test_function_csv_non_finite_values_are_not_written(self, tmp_path):
+        path = tmp_path / "fn.csv"
+        f = FuncDF(lambda x: np.where(x > 0.5, np.nan, x))
+        with pytest.raises(ValueError, match="function values must be finite, found nan"):
+            write_function_csv(f, path)
+        assert not path.exists()
+
+    def test_function_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "fn.csv"
+        path.write_text("x,value\n0,0\n\n0.5,0.7\n  \n1,1\n")
+        g = read_function_csv(path)
+        assert g.grid.tolist() == [0.0, 0.5, 1.0]
+        assert g.values.tolist() == [0.0, 0.7, 1.0]
+
+    def test_function_csv_malformed_row_names_its_line(self, tmp_path):
+        path = tmp_path / "fn.csv"
+        path.write_text("x,value\n0,0\n0.5,0.7,1\n1,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_function_csv(path)
+        assert str(exc.value) == f"{path}:3: malformed row '0.5,0.7,1'"
 
     def test_function_csv_non_finite_value(self, tmp_path):
         path = tmp_path / "fn.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,30 +29,58 @@ def cfg(**kw):
 
 class TestTrialConfig:
     def test_auto_k_is_half_n(self):
-        assert cfg(n=10).resolved_k() == 5
-        assert cfg(n=1000).resolved_k() == 500
+        assert cfg(n=10).k_count == 5
+        assert cfg(n=1000).k_count == 500
 
     def test_auto_k_floors_at_two(self):
-        assert cfg(n=3).resolved_k() == 2
+        assert cfg(n=3).k_count == 2
 
     def test_auto_k_impossible_for_tiny_n(self):
         with pytest.raises(ValueError, match="2 <= k < n"):
-            cfg(n=2).resolved_k()
+            cfg(n=2)
 
     def test_explicit_k_bounds(self):
-        assert cfg(n=10, k=7).resolved_k() == 7
+        assert cfg(n=10, k=7).k_count == 7
         with pytest.raises(ValueError, match="2 <= k < n"):
-            cfg(n=10, k=10).check()
+            cfg(n=10, k=10)
         with pytest.raises(ValueError, match="2 <= k < n"):
-            cfg(n=10, k=1).check()
+            cfg(n=10, k=1)
 
     def test_protocol_validation(self):
         with pytest.raises(ValueError, match="iteration"):
-            cfg(iters=0).check()
+            cfg(iters=0)
         with pytest.raises(ValueError, match="eval_points"):
-            cfg(eval_points=1).check()
+            cfg(eval_points=1)
         with pytest.raises(ValueError, match="trials"):
-            cfg(trials=0).check()
+            cfg(trials=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 2.5, "k must be 'auto' or an integer, got 2.5"),
+        ("k", "5", "k must be 'auto' or an integer, got '5'"),
+        ("k", True, "k must be 'auto' or an integer, got True"),
+        ("n", 10.5, "n must be an integer, got 10.5"),
+        ("iters", 2.5, "iters must be an integer, got 2.5"),
+        ("eval_points", 20.5, "eval_points must be an integer, got 20.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("seed", "0", "seed must be an integer, got '0'"),
+    ], ids=["k-float", "k-text", "k-bool", "n-float", "iters-float", "eval_points-float",
+            "trials-bool", "seed-text"])
+    def test_non_integers_rejected_when_built(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            TrialConfig(**{"distribution": BetaParams(2, 2), "n": 10, field: value})
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        config = cfg(n=np.int64(10), k=np.int32(4), iters=np.int64(2))
+        assert (type(config.n), config.k_count) == (int, 4)
+        assert run_trial(config, 0) == run_trial(cfg(n=10, k=4, iters=2), 0)
+
+    def test_replace_resolves_auto_again(self):
+        config = TrialConfig(distribution=BetaParams(2, 2), n=10)
+        assert config.k_count == 5
+        assert replace(config, n=100).k_count == 50
+        with pytest.raises(ValueError, match="2 <= k < n"):
+            replace(cfg(n=10, k=7), n=5)
 
 
 class TestRunTrial:
@@ -92,7 +122,7 @@ class TestRunTrial:
         monkeypatch.undo()
         # both distances, bit for bit, from separate evaluations of the target
         sample = sample_beta(config.distribution, config.n, SeededRng(derive_substream(config.seed, 2)))
-        estimator = iterate_exact(quantile_estimator(sample, config.resolved_k()), UniformDF(),
+        estimator = iterate_exact(quantile_estimator(sample, config.k_count), UniformDF(),
                                   config.iters)
         target = BetaDF(config.distribution)
         pts = np.linspace(0.0, 1.0, config.eval_points)
