@@ -66,13 +66,13 @@ def _build_parser() -> _Parser:
     dist, sample, iters = (_Parser(add_help=False) for _ in range(3))
     dist.add_argument("--dist", required=True, help="target CDF, e.g. beta:2,2 or uniform")
     sample.add_argument("--sample", required=True, help="file with one value per line")
-    iters.add_argument("--iters", type=_iteration_count, default=TrialConfig.iters)
+    iters.add_argument("--iters", type=_count(1), default=TrialConfig.iters)
 
     def command(name, text, *parents):
         return sub.add_parser(name, help=text, parents=[*parents, out])
 
     p = command("approximate", "quantile IFS for a known CDF, dumped as CSV", dist, iters)
-    p.add_argument("--points", type=int, required=True, help="number of interior quantiles")
+    p.add_argument("--points", type=_count(1), required=True, help="number of interior quantiles")
 
     command("edf-ifs", "exact e.d.f. IFS of a sample, dumped as JSON", sample)
 
@@ -85,15 +85,15 @@ def _build_parser() -> _Parser:
                    help="auto:N, sample:<file>, or a file of interior breakpoints")
 
     p = command("estimate", "empirical quantile estimator, dumped as CSV", sample, iters)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count(2), required=True)
 
     p = command("simulate", "estimator vs e.d.f. comparison sweep", dist, iters)
     p.add_argument("--n", required=True, help="comma-separated sample sizes")
     p.add_argument("--k", default=TrialConfig.k, help="quantile count or 'auto' (= ceil(n/2))")
-    p.add_argument("--trials", type=int, default=TrialConfig.trials)
+    p.add_argument("--trials", type=_count(1), default=TrialConfig.trials)
     p.add_argument("--seed", default=None)
-    p.add_argument("--eval-points", type=int, default=TrialConfig.eval_points)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--eval-points", type=_count(2), default=TrialConfig.eval_points)
+    p.add_argument("--jobs", type=_count(1), default=1,
                    help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--exact-sup", action="store_true",
                    help="augment the evaluation points with the iterate's breakpoints; "
@@ -150,15 +150,18 @@ def _integer(text: str, source: str) -> int:
         raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
-def _iteration_count(text: str) -> int:
-    """argparse type of --iters, in every subcommand that takes it: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _count(minimum: int):
+    """argparse type of a count flag: an integer >= ``minimum``, else a usage
+    error that argparse prefixes with the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _target_from_spec(spec: str, mode: str):
@@ -227,8 +230,6 @@ def _cmd_simulate(args) -> int:
     else:
         seed = _integer(os.environ.get("IFS_SEED", "0"), "IFS_SEED")
     k = args.k if args.k == "auto" else _integer(args.k, "--k")
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     configs = [
         TrialConfig(
             distribution=dist,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distfn import DistributionFunction, _checked_sample, edf_from_sample
+from .distfn import DistributionFunction, _checked_sample, _require_integer, edf_from_sample
 from .ifs import IfsSystem, _MapTable
 
 __all__ = [
@@ -77,9 +77,9 @@ def quantile_ifs(f: DistributionFunction, n_points: int) -> IfsSystem:
     (F steep next to 0 or 1).  F must be continuous and strictly increasing;
     a level that F's left limits show to lie inside a jump is an error.
     """
-    if n_points < 1:
+    m = _require_integer("n_points", n_points)
+    if m < 1:
         raise ValueError("n_points must be >= 1")
-    m = n_points
     levels = np.arange(1, m + 1) / (m + 1)
     xs, fx = _invert_cdf(f, levels)
     cuts = np.concatenate([[0.0], xs, [1.0]])
@@ -126,6 +126,7 @@ def quantile_estimator(sample, k: int) -> IfsSystem:
     quantiles merge into a single cell carrying the summed weight.
     Requires 2 <= k < n.
     """
+    k = _require_integer("k", k)
     if k < 2:
         raise ValueError("k must be >= 2")
     arr = _checked_sample(sample)

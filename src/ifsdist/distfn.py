@@ -81,15 +81,14 @@ class FuncDF(DistributionFunction):
     verified pointwise.  A scalar function can be wrapped in ``np.vectorize``.
     """
 
-    def __init__(self, fn, name: str = "FuncDF"):
+    def __init__(self, fn):
         self._fn = fn
-        self._name = name
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(xs, float)), float)
 
     def __repr__(self) -> str:
-        return f"{self._name}"
+        return "FuncDF"
 
 
 class GridDF(DistributionFunction):
@@ -190,6 +189,14 @@ def _nonfinite_violation(name: str, values) -> str | None:
     return None
 
 
+def _require_integer(name: str, value, what: str = "an integer") -> int:
+    """int(value) for a Python or numpy integer (not a bool), else ValueError;
+    every public entry that takes a count runs it once."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def _checked_sample(sample) -> np.ndarray:
     """The sample sorted, after checking that it is non-empty, finite and
     strictly inside (0,1); violations raise ValueError."""
@@ -233,6 +240,7 @@ def sup_distance(f: DistributionFunction, g: DistributionFunction, grid_size: in
     iterate (``IteratedDF``) keeps an evenly spaced subset once its
     breakpoints pass 4096, and the result is then a lower bound too.
     """
+    grid_size = _require_integer("grid_size", grid_size)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     xs = _merged_points(grid_size, f.breakpoints(), g.breakpoints())

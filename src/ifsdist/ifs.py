@@ -26,14 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distfn import DistributionFunction, UniformDF, _merged_points, _nonfinite_violation
+from .distfn import (DistributionFunction, UniformDF, _merged_points, _nonfinite_violation,
+                     _require_integer)
 
 __all__ = [
     "AffineMap",
     "IfsSystem",
     "IteratedDF",
     "FixedPointResult",
-    "validate",
     "apply",
     "iterate_exact",
     "contractivity",
@@ -214,11 +214,11 @@ class IfsSystem:
     """Immutable bundle of maps, weights and offsets defining the operator.
 
     ``maps`` is a sequence of :class:`AffineMap` (or the map table that the
-    package's constructions build from their cuts).  ``identity_partition`` is
-    derived: true iff every map is the identity on its own interval and the
-    maps and offsets pass the structural checks (so the intervals partition
-    [0,1)).  The checks run once, on first use.  Instances are safe to share
-    across threads.
+    package's constructions build from their cuts).  A system is checked once,
+    when it is built: one that breaks a condition of the module docstring
+    raises ValueError listing every violation.  ``identity_partition`` is
+    derived: true iff every map is the identity on its own interval.
+    Instances are safe to share across threads.
     """
 
     def __init__(self, maps, p, delta):
@@ -227,12 +227,10 @@ class IfsSystem:
         self.delta = np.asarray(delta, float).copy()
         self.p.flags.writeable = False
         self.delta.flags.writeable = False
-        k = self._table.k
+        self.require_valid()
         # offsets[i] = sum_{j<i} p_j + sum_{j<i} delta_j
-        off = np.zeros(k)
-        if k > 1 and len(self.p) == k and len(self.delta) == k - 1:
-            off[1:] = np.cumsum(self.p[:-1]) + np.cumsum(self.delta)
-        self._offsets = off
+        self._offsets = np.zeros(self.k)
+        self._offsets[1:] = np.cumsum(self.p[:-1]) + np.cumsum(self.delta)
 
     @property
     def k(self) -> int:
@@ -242,25 +240,15 @@ class IfsSystem:
     def maps(self) -> tuple:
         return self._table.maps
 
-    @cached_property
-    def _structural(self) -> list[str]:
-        return self._table.violations(self.delta)
-
-    @cached_property
-    def identity_partition(self) -> bool:
-        return bool(self._table.exact.all()) and not self._structural
-
-    @cached_property
-    def _violations(self) -> list[str]:
-        return self._structural + _weight_violations(self)
-
-    def violations(self) -> list[str]:
-        return list(self._violations)
-
     def require_valid(self) -> None:
-        v = self.violations()
-        if v:
-            raise ValueError("invalid IFS system: " + "; ".join(v))
+        """Run every check, structural ones first, and raise ValueError
+        listing each violation; ``__init__`` calls it."""
+        violations = self._table.violations(self.delta)
+        # the offset floor applies only once the identity maps partition [0,1)
+        self.identity_partition = bool(self._table.exact.all()) and not violations
+        violations += _weight_violations(self)
+        if violations:
+            raise ValueError("invalid IFS system: " + "; ".join(violations))
 
     def __repr__(self) -> str:
         return (
@@ -296,14 +284,8 @@ def _weight_violations(system: IfsSystem) -> list[str]:
     return out
 
 
-def validate(system: IfsSystem) -> list[str]:
-    """All invariant violations of a system; an empty list means valid."""
-    return system.violations()
-
-
 def contractivity(system: IfsSystem) -> float:
     """Contractivity constant c = max_i p_i of the operator."""
-    system.require_valid()
     return float(np.max(system.p))
 
 
@@ -376,15 +358,14 @@ def _walk(system: IfsSystem, xs: np.ndarray, depth: int, left: bool = False):
 
 
 class IteratedDF(DistributionFunction):
-    """Lazy, exactly evaluatable iterate T^s u0 of a valid system."""
+    """Lazy, exactly evaluatable iterate T^depth u0 of a system."""
 
     def __init__(self, system: IfsSystem, u0: DistributionFunction, depth: int):
-        if depth < 1:
+        self.depth = _require_integer("depth", depth)
+        if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        system.require_valid()
         self.system = system
         self.u0 = u0
-        self.depth = int(depth)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         amp, off, y = _walk(self.system, xs, self.depth)
@@ -509,7 +490,7 @@ def _kept_ranks(table: _MapTable, xs: np.ndarray, boundary: np.ndarray):
 
 
 def apply(system: IfsSystem, f: DistributionFunction) -> IteratedDF:
-    """T f for a valid system; the result is again a distribution function."""
+    """T f; the result is again a distribution function."""
     return IteratedDF(system, f, depth=1)
 
 

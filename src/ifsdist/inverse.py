@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distfn import DistributionFunction, _merged_points
+from .distfn import DistributionFunction, _merged_points, _require_integer
 from .ifs import _TOL, _MapTable, _pullback
 
 __all__ = [
@@ -86,7 +86,7 @@ class CollageProblem:
                 f"1 - sum(delta) = {self.weight_sum} must be positive for a usable simplex"
             )
         self.mode = "exact" if self._table.exact.all() else "grid"
-        self.grid_size = int(grid_size)
+        self.grid_size = _require_integer("grid_size", grid_size)
         self._assemble()
 
     @property

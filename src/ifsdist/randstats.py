@@ -42,7 +42,7 @@ from math import exp, inf, lgamma, log
 
 import numpy as np
 
-from .distfn import DistributionFunction
+from .distfn import DistributionFunction, _require_integer
 
 __all__ = [
     "BetaParams",
@@ -485,6 +485,7 @@ class SeededRng:
         numpy's uint64 arithmetic wraps modulo 2^64, so the stream is the
         same as ``count`` calls of :meth:`uniform`.
         """
+        count = _require_integer("count", count)
         z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
@@ -514,6 +515,7 @@ def sample_beta(params: BetaParams, n: int, rng: SeededRng) -> np.ndarray:
     (Beta(2,0.05) and Beta(0.1,0.1) give such variates), and every quantile
     below 2^-61 ends on 2^-61 (Beta(0.05,2) gives such variates).
     """
+    n = _require_integer("n", n)
     if n < 1:
         raise ValueError("sample size must be >= 1")
     us = rng.uniforms(n)

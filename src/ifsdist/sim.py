@@ -21,7 +21,7 @@ from math import ceil
 import numpy as np
 
 from .constructions import quantile_estimator
-from .distfn import UniformDF, edf_from_sample, sup_distance
+from .distfn import UniformDF, _require_integer, edf_from_sample, sup_distance
 from .ifs import iterate_exact
 from .randstats import _FLOOR, _STEPS, BetaDF, BetaParams, SeededRng, derive_substream, sample_beta
 
@@ -37,13 +37,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "dist,n,k,trials,iters,mean_a,mean_b,ratio_pct"
-
-
-def _require_integer(name: str, value, what: str = "an integer") -> int:
-    """int(value) for a Python or numpy integer (not a bool), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

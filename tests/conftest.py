@@ -38,8 +38,9 @@ def random_identity_system(rng, k_range=(2, 8), negative_delta=False, c_max=0.95
             total = raw.sum() + raw_d.sum()
             p = raw / total
             delta = raw_d / total
-        system = IfsSystem(maps, p, delta)
-        if system.violations():
+        try:
+            system = IfsSystem(maps, p, delta)
+        except ValueError:
             continue
         if np.max(p) < c_max:
             return system
@@ -58,8 +59,9 @@ def random_contractive_system(rng, k_range=(2, 8), c_max=0.95):
         raw_p = rng.random(k) + 0.05
         raw_d = rng.random(k - 1) * rng.uniform(0.0, 0.5)
         total = raw_p.sum() + raw_d.sum()
-        system = IfsSystem(maps, raw_p / total, raw_d / total)
-        if system.violations():
+        try:
+            system = IfsSystem(maps, raw_p / total, raw_d / total)
+        except ValueError:
             continue
         if np.max(system.p) < c_max:
             return system

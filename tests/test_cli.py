@@ -18,7 +18,6 @@ from ifsdist import (
     edf_ifs,
     read_function_csv,
     read_system_json,
-    validate,
 )
 from ifsdist import cli
 from ifsdist.cli import cli_main
@@ -371,7 +370,6 @@ class TestEdfIfsCommand:
         out = tmp_path / "system.json"
         assert cli_main(["edf-ifs", "--sample", str(path), "--out", str(out)]) == 0
         system = read_system_json(out)
-        assert validate(system) == []
         assert system.identity_partition
         assert len(system.maps) == len(values) + 1
         # bit-exact through the file: same floats as a direct construction
@@ -415,7 +413,7 @@ class TestExitCodes:
         code = cli_main(["simulate", "--dist", "beta:2,2", "--n", "10",
                          "--trials", "1", "--jobs", "0", "--out", str(out)])
         assert code == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -467,6 +465,24 @@ class TestExitCodes:
         assert cli_main(argv + ["--iters", iters, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ifsdist {argv[0]}: {message}\nusage: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,least", [
+        (["approximate", "--dist", "beta:2,2"], "--points", 1),
+        (["simulate", "--dist", "beta:2,2", "--n", "10"], "--trials", 1),
+        (["simulate", "--dist", "beta:2,2", "--n", "10", "--trials", "1"], "--eval-points", 2),
+        (["estimate", "--sample", "SAMPLE"], "--k", 2),
+    ], ids=["points", "trials", "eval-points", "estimate-k"])
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "text"])
+    def test_bad_count_names_its_flag(self, argv, flag, least, below, sample_file, tmp_path,
+                                      capsys):
+        argv = [str(sample_file[0]) if a == "SAMPLE" else a for a in argv]
+        value, message = ((str(least - 1), f"must be >= {least}, got {least - 1}") if below
+                          else ("x", "not an integer: 'x'"))
+        out = tmp_path / "x.out"
+        assert cli_main(argv + [flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ifsdist {argv[0]}: argument {flag}: {message}\nusage: ")
         assert not out.exists()
 
     def test_bad_number_in_csv_target_names_its_line(self, tmp_path, capsys):

@@ -189,6 +189,10 @@ class TestSupDistance:
         with pytest.raises(ValueError, match="grid_size"):
             sup_distance(UniformDF(), UniformDF(), grid_size=1)
 
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="grid_size must be an integer, got 2.5"):
+            sup_distance(UniformDF(), BETA22_POLY, 2.5)
+
 
 class TestMonotonicity:
     def test_random_carriers_monotone(self):

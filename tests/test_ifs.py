@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 import time
 
 import numpy as np
@@ -20,10 +22,10 @@ from ifsdist import (
     perturbation_bound,
     quantile_estimator,
     quantile_ifs,
+    read_system_json,
     sup_distance,
     system_from_json,
     system_to_json,
-    validate,
 )
 
 from ifsdist import ifs
@@ -42,6 +44,13 @@ from conftest import (
 def two_cell_identity(p=(0.5, 0.5), delta=(0.0,), split=0.5):
     maps = [AffineMap.identity(0.0, split), AffineMap.identity(split, 1.0)]
     return IfsSystem(maps, p, delta)
+
+
+def rejected(build, *args, **kwargs) -> list[str]:
+    """The violations, in order, with which ``build(*args, **kwargs)`` raises."""
+    with pytest.raises(ValueError, match="^invalid IFS system: ") as info:
+        build(*args, **kwargs)
+    return str(info.value).removeprefix("invalid IFS system: ").split("; ")
 
 
 class TestAffineMap:
@@ -146,7 +155,7 @@ class TestImageBreakpoints:
         for _ in range(40):
             table = random_table(rng, int(rng.integers(2, 40)), overlap)
             p = rng.random(table.k)
-            assert IfsSystem(table, p / p.sum(), np.zeros(table.k - 1)).violations() == []
+            IfsSystem(table, p / p.sum(), np.zeros(table.k - 1))
             ends = table.images(np.concatenate([table.a, np.nextafter(table.b, 0.0)]))
             unordered += bool(np.any(ends[1:] < ends[:-1]))
             for u0 in self.starts(rng):
@@ -225,13 +234,14 @@ class TestImageBreakpoints:
 
 class TestValidate:
     def test_plain_partition_ok(self):
-        assert validate(two_cell_identity()) == []
+        system = two_cell_identity()
+        system.require_valid()
+        assert system.identity_partition
 
     def test_offset_below_floor(self):
         # delta = -0.6 < -min(0.5, 0.5); the weight sum is off too, and the
         # report must carry both
-        system = two_cell_identity(p=(0.5, 0.5), delta=(-0.6,))
-        found = validate(system)
+        found = rejected(two_cell_identity, p=(0.5, 0.5), delta=(-0.6,))
         assert any("below -min" in v for v in found)
         assert any("expected 1" in v for v in found)
 
@@ -240,38 +250,34 @@ class TestValidate:
             AffineMap.from_intervals((0.0, 1.0), (0.0, 0.6)),
             AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
         ]
-        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
-        assert any("overlap" in v for v in validate(system))
+        with pytest.raises(ValueError, match="targets 0 and 1 overlap"):
+            IfsSystem(maps, (0.5, 0.5), (0.0,))
 
     def test_gap_between_targets(self):
         maps = [
             AffineMap.from_intervals((0.0, 1.0), (0.0, 0.4)),
             AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
         ]
-        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
-        assert any("gap" in v for v in validate(system))
+        with pytest.raises(ValueError, match="targets 0 and 1 leave a gap"):
+            IfsSystem(maps, (0.5, 0.5), (0.0,))
 
     def test_no_maps(self):
-        found = validate(IfsSystem([], [], []))
-        assert "system has no maps" in found
-        with pytest.raises(ValueError, match="system has no maps"):
-            IfsSystem([], [], []).require_valid()
+        assert "system has no maps" in rejected(IfsSystem, [], [], [])
 
     def test_targets_out_of_order(self):
         maps = [
             AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
             AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
         ]
-        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
-        assert validate(system) == ["maps must be ordered by strictly increasing target start"]
+        assert rejected(IfsSystem, maps, (0.5, 0.5), (0.0,)) == [
+            "maps must be ordered by strictly increasing target start"]
 
     def test_wrong_number_of_weights(self):
-        system = two_cell_identity(p=(0.5, 0.25, 0.25))
-        assert validate(system) == ["expected 2 weights, got 3"]
+        assert rejected(two_cell_identity, p=(0.5, 0.25, 0.25)) == ["expected 2 weights, got 3"]
 
     def test_weight_normalization(self):
-        system = two_cell_identity(p=(0.5, 0.6))
-        assert any("expected 1" in v for v in validate(system))
+        assert rejected(two_cell_identity, p=(0.5, 0.6)) == [
+            "sum(p) + sum(delta) = 1.1, expected 1"]
 
     @pytest.mark.parametrize("p, delta", [
         ((float("nan"), 0.5), (0.0,)),
@@ -279,28 +285,25 @@ class TestValidate:
         ((0.5, 0.5), (float("nan"),)),
     ])
     def test_non_finite_weights_and_offsets(self, p, delta):
-        system = two_cell_identity(p=p, delta=delta)
-        assert any("must be finite" in v for v in validate(system))
-        with pytest.raises(ValueError, match="finite"):
-            system.require_valid()
+        assert any("must be finite" in v for v in rejected(two_cell_identity, p=p, delta=delta))
 
     def test_non_finite_map_parameters(self):
         # a NaN intercept slips past every ordering and range comparison
         maps = [AffineMap(0.0, 0.5, 1.0, float("nan")), AffineMap.identity(0.5, 1.0)]
-        system = IfsSystem(maps, (0.5, 0.5), (0.0,))
-        assert any("map parameters must be finite" in v for v in validate(system))
+        with pytest.raises(ValueError, match="map parameters must be finite"):
+            IfsSystem(maps, (0.5, 0.5), (0.0,))
 
     def test_negative_weight(self):
-        system = two_cell_identity(p=(-0.1, 1.1))
-        assert any("negative weight" in v for v in validate(system))
+        with pytest.raises(ValueError, match="negative weight: min p = -0.1"):
+            two_cell_identity(p=(-0.1, 1.1))
 
     def test_negative_offset_needs_identity(self):
         maps = [
             AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
             AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
         ]
-        system = IfsSystem(maps, (0.6, 0.5), (-0.1,))
-        assert any("identity-partition" in v for v in validate(system))
+        with pytest.raises(ValueError, match="negative offsets require an identity-partition"):
+            IfsSystem(maps, (0.6, 0.5), (-0.1,))
 
     def test_flag_consistency(self):
         # the flag is derived from the maps; a JSON record that contradicts
@@ -318,7 +321,7 @@ class TestValidate:
         # checks on the whole partition; texts as the per-map loop wrote them
         maps = [AffineMap(-0.1, 0.5, 1.0, 0.0), AffineMap(0.5, 0.5, 1.0, 0.0),
                 AffineMap(0.5, 1.2, -1.0, 1.5)]
-        assert validate(IfsSystem(maps, (0.3, 0.3, 0.4), (0.0, 0.0))) == [
+        assert rejected(IfsSystem, maps, (0.3, 0.3, 0.4), (0.0, 0.0)) == [
             "map 0: source [-0.1,0.5) leaves [0,1]",
             "map 0: target [-0.1,0.5) leaves [0,1]",
             "map 1: empty source interval [0.5,0.5)",
@@ -334,21 +337,24 @@ class TestValidate:
     def test_empty_target_in_floating_point(self):
         # slope * 1 + 0.5 rounds to 0.5, so the target [0.5, 0.5) is empty
         maps = [AffineMap(0.0, 1.0, 0.5, 0.0), AffineMap(0.0, 1.0, 1e-310, 0.5)]
-        found = validate(IfsSystem(maps, (0.5, 0.5), (0.0,)))
-        assert "map 1: target [0.5,0.5) is empty" in found
+        assert "map 1: target [0.5,0.5) is empty" in rejected(IfsSystem, maps, (0.5, 0.5), (0.0,))
 
     def test_identity_flag_needs_a_valid_partition(self):
         maps = [AffineMap.identity(0.0, 0.5), AffineMap.identity(0.5, 1.0)]
         assert IfsSystem(maps, (0.5, 0.5), (0.0,)).identity_partition
-        assert not IfsSystem(maps, (0.5, 0.5), (0.0, 0.0)).identity_partition
+        # with an offset too many the maps partition nothing, so a negative
+        # offset is reported as such, not against the identity-partition floor
+        assert rejected(IfsSystem, maps, (0.5, 0.5), (0.1, -0.1)) == [
+            "expected 1 offsets, got 2",
+            "negative offsets require an identity-partition system",
+        ]
 
     def test_all_violations_reported(self):
         maps = [
             AffineMap.from_intervals((0.0, 1.0), (0.0, 0.6)),
             AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0)),
         ]
-        system = IfsSystem(maps, (-0.2, 0.5), (0.0,))
-        found = validate(system)
+        found = rejected(IfsSystem, maps, (-0.2, 0.5), (0.0,))
         assert len(found) >= 2  # overlap and weight problems together
 
 
@@ -374,9 +380,8 @@ class TestApply:
         assert np.max(np.abs(tf.eval_array(xs) - xs)) < 1e-15
 
     def test_invalid_system_rejected(self):
-        system = two_cell_identity(p=(0.9, 0.9))
         with pytest.raises(ValueError, match="invalid IFS system"):
-            apply(system, UniformDF())
+            two_cell_identity(p=(0.9, 0.9))
 
     def test_jump_sides_at_rounded_image_points(self):
         # a step jump at b maps to a float x = fl(w(b)); the value there must
@@ -476,6 +481,14 @@ class TestIterate:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             iterate_exact(two_cell_identity(), UniformDF(), 0)
 
+    @pytest.mark.parametrize("depth", [2.5, True, "2"], ids=["float", "bool", "text"])
+    def test_depth_must_be_an_integer(self, depth):
+        system = quantile_ifs(UniformDF(), 3)
+        with pytest.raises(ValueError, match=f"depth must be an integer, got {depth!r}"):
+            IteratedDF(system, UniformDF(), depth)
+        with pytest.raises(ValueError, match=f"depth must be an integer, got {depth!r}"):
+            iterate_exact(system, UniformDF(), depth)
+
 
 class TestContractivity:
     def test_max_of_weights(self):
@@ -489,7 +502,6 @@ class TestContractivity:
         # hand-built n=1 e.d.f. analogue: weights (0, 1) are valid but c = 1
         maps = [AffineMap.identity(0.0, 0.5), AffineMap.identity(0.5, 1.0)]
         system = IfsSystem(maps, (0.0, 1.0), (0.0,))
-        assert validate(system) == []
         assert contractivity(system) == 1.0
         with pytest.raises(ValueError, match="not contractive"):
             fixed_point(system)
@@ -641,8 +653,11 @@ class TestPerturbation:
             total = float(np.sum(base.p))
             raw = rng.random(base.k) + 0.05
             p2 = raw / raw.sum() * total
-            other = IfsSystem(base.maps, p2, base.delta)
-            if other.violations() or np.max(p2) >= 0.95:
+            try:
+                other = IfsSystem(base.maps, p2, base.delta)
+            except ValueError:
+                continue
+            if np.max(p2) >= 0.95:
                 continue
             c = contractivity(base)
             bound = perturbation_bound(base.p, p2, c)
@@ -669,11 +684,27 @@ class TestSerialization:
                 assert (m1.a, m1.b, m1.slope, m1.intercept) == (
                     m2.a, m2.b, m2.slope, m2.intercept,
                 )
-            assert validate(back) == []
 
     def test_malformed_json(self):
         with pytest.raises(ValueError, match="malformed"):
             system_from_json({"maps": [{"a": 0.0}]})
+
+    def test_invalid_record_rejected_when_read(self, tmp_path):
+        # weights summing to 1.8: the record parses, and the system it
+        # describes is rejected before anything evaluates it
+        maps = [AffineMap.from_intervals((0.0, 1.0), (0.0, 0.5)),
+                AffineMap.from_intervals((0.0, 1.0), (0.5, 1.0))]
+        message = re.escape("invalid IFS system: sum(p) + sum(delta) = 1.8, expected 1")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IfsSystem(maps, (0.9, 0.9), (0.0,))
+        data = system_to_json(IfsSystem(maps, (0.5, 0.5), (0.0,)))
+        data["p"] = [0.9, 0.9]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            system_from_json(data)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_system_json(path)
 
 
 class TestDefaultMesh:

